@@ -14,23 +14,22 @@
 //     on), reporting wall time, sessions/sec, peak RSS, and pool
 //     hit/contention rates — the 10^5-session regime.
 //
-// Usage: bench_fleet [--smoke] [--json <path>] [--gate <committed.json>]
-//                    [sessions] [duration_s]
-//   --smoke   smaller fleet (CI); defaults otherwise: 256 sessions, 20 s
-//   --json    write a machine-readable summary (default: BENCH_fleet.json)
-//   --gate    in --smoke mode, enforce the smoke_gate block of a committed
-//             JSON (max wall clock, max peak RSS, min mega throughput);
-//             exceeding any bound fails the bench — the CI regression gate
+// Usage: see kUsage below, or run `bench_fleet --help`. --gate enforces
+// the smoke_gate block of a committed JSON (max wall clock, max peak RSS,
+// min mega throughput); exceeding any bound fails the bench — the CI
+// regression gate.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -94,6 +93,42 @@ bool extract_number(const std::string& text, const std::string& key,
   return true;
 }
 
+constexpr const char* kUsage =
+    "usage: bench_fleet [--smoke] [--json <path>] [--gate <committed.json>]\n"
+    "                   [sessions] [duration_s]\n"
+    "  --smoke   smaller fleet (CI); defaults otherwise: 256 sessions, 20 s\n"
+    "  --json    write a machine-readable summary (default: "
+    "BENCH_fleet.json)\n"
+    "  --gate    in --smoke mode, enforce the smoke_gate block of a "
+    "committed JSON\n"
+    "            (max wall clock, max peak RSS, min mega throughput)\n"
+    "  sessions  fleet size, a whole number >= 1\n"
+    "  duration_s  simulated seconds per session, a number > 0\n";
+
+[[noreturn]] void usage_error(const std::string& msg) {
+  std::cerr << "bench_fleet: " << msg << "\n" << kUsage;
+  std::exit(2);
+}
+
+std::size_t parse_sessions(const char* text) {
+  const std::string_view sv = text;
+  std::size_t v = 0;
+  const auto [end, ec] = std::from_chars(sv.data(), sv.data() + sv.size(), v);
+  if (ec != std::errc() || end != sv.data() + sv.size() || v < 1)
+    usage_error("sessions must be a whole number >= 1, got '" +
+                std::string(sv) + "'");
+  return v;
+}
+
+double parse_duration(const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0.0)
+    usage_error("duration_s must be a number > 0, got '" + std::string(text) +
+                "'");
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -104,20 +139,28 @@ int main(int argc, char** argv) {
   std::string gate_path;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--gate") == 0 && i + 1 < argc)
-      gate_path = argv[++i];
-    else
+    const std::string_view arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::cout << kUsage;
+      return 0;
+    } else if (arg == "--smoke") {
+      smoke = true;
+    } else if (arg == "--json" || arg == "--gate") {
+      if (i + 1 >= argc) usage_error(std::string(arg) + " needs a value");
+      (arg == "--json" ? json_path : gate_path) = argv[++i];
+    } else if (arg.size() > 1 && arg[0] == '-') {
+      usage_error("unknown option '" + std::string(arg) + "'");
+    } else {
       positional.push_back(argv[i]);
+    }
   }
+  if (positional.size() > 2) usage_error("too many positional arguments");
   const std::size_t sessions =
-      positional.size() > 0
-          ? static_cast<std::size_t>(std::atoll(positional[0]))
-          : (smoke ? 64 : 256);
-  const double duration_s =
-      positional.size() > 1 ? std::atof(positional[1]) : (smoke ? 15.0 : 20.0);
+      positional.size() > 0 ? parse_sessions(positional[0])
+                            : (smoke ? 64 : 256);
+  const double duration_s = positional.size() > 1
+                                ? parse_duration(positional[1])
+                                : (smoke ? 15.0 : 20.0);
 
   benchutil::banner("bench_fleet",
                     "fleet engine scaling, shared-pool warm starts, and the "

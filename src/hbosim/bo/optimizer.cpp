@@ -278,25 +278,104 @@ std::vector<double> BayesianOptimizer::suggest_incremental(
     preds_.resize(total);
     gp->predict_many(cand_flat_, total, preds_, batch_scratch_);
 
-    // First-strictly-greater argmax in generation order, matching the
-    // full-refit path's incremental `consider` rule.
-    double best_score = -std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < total; ++c) {
-      double mu = preds_[c].mean;
-      if (has_prior) {
-        mu += cfg_.prior->mean({cand_flat_.data() + c * dim, dim}) / scale;
-      }
-      const double score = acquisition_score(
-          cfg_.acquisition, mu, std::sqrt(preds_[c].variance), best_y,
-          cfg_.acq_params);
-      if (score > best_score) {
-        best_score = score;
-        best_idx = c;
+    if (has_prior) {
+      best_idx = prior_argmax(best_y, scale, total);
+    } else {
+      // First-strictly-greater argmax in generation order, matching the
+      // full-refit path's incremental `consider` rule.
+      double best_score = -std::numeric_limits<double>::infinity();
+      for (std::size_t c = 0; c < total; ++c) {
+        const double score = acquisition_score(
+            cfg_.acquisition, preds_[c].mean, std::sqrt(preds_[c].variance),
+            best_y, cfg_.acq_params);
+        if (score > best_score) {
+          best_score = score;
+          best_idx = c;
+        }
       }
     }
   }
   const double* zb = cand_flat_.data() + best_idx * dim;
   return std::vector<double>(zb, zb + dim);
+}
+
+std::size_t BayesianOptimizer::prior_argmax(double best_y, double scale,
+                                            std::size_t total) {
+  const SurrogatePrior& prior = *cfg_.prior;
+  const std::size_t dim = space_.dim();
+  const double tol = prior.mean_many_tolerance();
+  prior_means_.resize(total);
+  prior.mean_many(cand_flat_, total, prior_means_, prior_scratch_);
+
+  // Candidate c's score with prior mean m, in the exact expression order
+  // of scoring with prior.mean(): mu = pred + m / scale. `slack` bounds how
+  // far the floating-point score can stray from monotonicity in mu. EI and
+  // PI are non-increasing in mu, and their evaluation errs by a few ulp of
+  // the terms |best - mu - xi| Phi(u), sigma phi(u) and Phi(u), all bounded
+  // by |score| + |best - mu - xi| + sigma. LCB is exactly monotone in
+  // floating point. 1e-9 times that sum is ~10^7 times the evaluation
+  // error, which also absorbs the rounding of the screen's comparisons.
+  constexpr double kScoreSlack = 1e-9;
+  struct Scored {
+    double score;
+    double slack;
+  };
+  auto score_with = [&](std::size_t c, double m) {
+    const double mu = preds_[c].mean + m / scale;
+    const double sigma = std::sqrt(preds_[c].variance);
+    const double s = acquisition_score(cfg_.acquisition, mu, sigma, best_y,
+                                       cfg_.acq_params);
+    return Scored{s, kScoreSlack * (std::abs(s) +
+                                    std::abs(best_y - mu - cfg_.acq_params.xi) +
+                                    sigma)};
+  };
+
+  // Screen. The exact mean lies in [m - tol, m + tol], and rounding
+  // m - tol (m + tol) cannot step past it because the exact mean is itself
+  // a double; division and addition round monotonically, so mu at m - tol
+  // is a floating-point lower bound on the exact mu and its score an upper
+  // bracket (up to slack) on the exact score. ceil_[c] holds that upper
+  // bracket plus slack; the lead maximizes it.
+  ceil_.resize(total);
+  std::size_t lead = 0;
+  double lead_score = -std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < total; ++c) {
+    const Scored hi = score_with(c, prior_means_[c] - tol);
+    if (hi.score > lead_score) {
+      lead_score = hi.score;
+      lead = c;
+    }
+    ceil_[c] = hi.score + hi.slack;
+  }
+  // With tolerance 0 the batched means are the exact ones, so the upper
+  // brackets are the exact scores and the lead is the exact argmax.
+  if (tol == 0.0) return lead;
+
+  // The lead's lower bracket (its score at m + tol, minus slack) is a
+  // lower bound, `cut`, on the exact maximum. A candidate whose ceiling is
+  // below it scores strictly below the maximum, so dropping it cannot
+  // change a first-strictly-greater argmax. Confirm the rest with the
+  // exact mean, in generation order. The skip test is false for NaN, so
+  // NaN scores reach the exact rule, which handles them as before. If
+  // every score ties (EI underflowing to 0 everywhere), every candidate
+  // survives and the argmax is still exact.
+  const Scored lo = score_with(lead, prior_means_[lead] + tol);
+  const double cut = lo.score - lo.slack;
+  std::size_t best_idx = 0;
+  double best_score = -std::numeric_limits<double>::infinity();
+  std::size_t confirmed = 0;
+  for (std::size_t c = 0; c < total; ++c) {
+    if (ceil_[c] < cut) continue;
+    ++confirmed;
+    const double m = prior.mean({cand_flat_.data() + c * dim, dim});
+    const double score = score_with(c, m).score;
+    if (score > best_score) {
+      best_score = score;
+      best_idx = c;
+    }
+  }
+  HB_TELEM_COUNT("bo.prior_confirms", static_cast<double>(confirmed));
+  return best_idx;
 }
 
 void BayesianOptimizer::tell(std::vector<double> z, double cost) {

@@ -82,7 +82,9 @@ struct BoConfig {
 
   /// Learned warm-start prior (see bo/prior.hpp). When set, the GP models
   /// the residual cost - prior->mean(z), acquisition scores add the prior
-  /// mean back per candidate, the prior's seed configurations replace the
+  /// mean back per candidate (batched through prior->mean_many(), with
+  /// the possible winners confirmed by the exact mean(); the suggestion is
+  /// the exact one), the prior's seed configurations replace the
   /// first initialization draws, and its length-scale hint joins the
   /// refit grid. Null (the default) leaves every code path bitwise
   /// identical to a prior-free optimizer.
@@ -134,6 +136,12 @@ class BayesianOptimizer {
   std::vector<double> suggest_incremental(Rng& rng,
                                           const std::vector<double>& y,
                                           double scale);
+  /// Acquisition argmax over the scored candidates (cand_flat_, preds_)
+  /// with the prior mean added back: bitwise the candidate that scoring
+  /// every one with the exact prior->mean() picks, found by screening with
+  /// the batched prior->mean_many() and confirming only the candidates
+  /// that could still win.
+  std::size_t prior_argmax(double best_y, double scale, std::size_t total);
   /// Bring the per-grid-entry GPs in sync with data_ and the targets y:
   /// (re)build from the distance cache when missing or invalidated,
   /// otherwise just re-solve the targets against the live factors.
@@ -163,6 +171,9 @@ class BayesianOptimizer {
   std::vector<GaussianProcess::Prediction> preds_;
   GaussianProcess::BatchScratch batch_scratch_;
   std::vector<double> clip_scratch_;
+  std::vector<double> prior_means_;    ///< batched prior mean per candidate
+  std::vector<double> ceil_;           ///< screen upper bracket per candidate
+  std::vector<double> prior_scratch_;  ///< prior->mean_many() working storage
 };
 
 }  // namespace hbosim::bo

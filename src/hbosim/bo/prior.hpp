@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -20,6 +21,18 @@
 /// unseeded randomness — because one prior instance may be consulted
 /// concurrently by many fleet sessions whose trajectories must stay
 /// bit-identical across thread counts.
+///
+/// Batched means. The optimizer needs m0 at every acquisition candidate
+/// (576 per suggest by default), so the contract also has mean_many():
+/// the means of a whole candidate batch in one call, allowed to differ
+/// from mean() by at most mean_many_tolerance() in absolute value. The
+/// optimizer screens candidates with the batched means and then confirms
+/// the few that could still be the acquisition argmax with the exact
+/// mean() (see BayesianOptimizer::suggest), so a nonzero tolerance costs
+/// no bitwise reproducibility: suggestions are exactly those of scoring
+/// every candidate with mean(). The default mean_many() loops over mean()
+/// and reports tolerance 0; a prior only overrides the pair when it has a
+/// faster kernel and a proven error bound for it.
 
 namespace hbosim::bo {
 
@@ -30,6 +43,25 @@ class SurrogatePrior {
   /// Prior mean of the raw (unstandardized) cost phi at configuration z.
   /// Must be finite for every feasible z.
   virtual double mean(std::span<const double> z) const = 0;
+
+  /// Prior means of `count` configurations packed row-major in zs_flat
+  /// (count rows of zs_flat.size() / count coordinates): |out[c] -
+  /// mean(z_c)| <= mean_many_tolerance() for every c. `scratch` is working
+  /// storage owned by the caller (one per thread), resized as needed, so
+  /// a shared prior stays immutable.
+  virtual void mean_many(std::span<const double> zs_flat, std::size_t count,
+                         std::span<double> out,
+                         std::vector<double>& scratch) const {
+    (void)scratch;
+    if (count == 0) return;
+    const std::size_t d = zs_flat.size() / count;
+    for (std::size_t c = 0; c < count; ++c)
+      out[c] = mean(zs_flat.subspan(c * d, d));
+  }
+
+  /// Absolute bound on |mean_many() - mean()| over every input. 0 (the
+  /// default) promises mean_many() returns exactly mean().
+  virtual double mean_many_tolerance() const { return 0.0; }
 
   /// Multiplier applied to BoConfig::length_scale and appended to the
   /// length-scale grid for the marginal-likelihood refit. Return <= 0 for

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 // Function multiversioning: compile each hot loop for the x86-64 baseline
 // plus AVX2 and AVX-512 and pick the best at load time via ifunc. On other
@@ -66,6 +67,25 @@ inline double exp_core(double v) {
   const double scale =
       std::bit_cast<double>(static_cast<std::uint64_t>(ni + 1023) << 52);
   return e * scale;
+}
+
+/// row[c] = ||z_c - x_i||^2 for one support point xi against a transposed
+/// query block. Both passes of gauss_nw_sums go through this one helper, so
+/// they see the same distances.
+inline void sq_dist_row(const double* __restrict__ ct,
+                        const double* __restrict__ xi, std::size_t d,
+                        std::size_t bc, std::size_t bstride,
+                        double* __restrict__ row) {
+  for (std::size_t c = 0; c < bc; ++c) row[c] = 0.0;
+  for (std::size_t j = 0; j < d; ++j) {
+    const double xc = xi[j];
+    const double* cj = ct + j * bstride;
+#pragma GCC ivdep
+    for (std::size_t c = 0; c < bc; ++c) {
+      const double dd = cj[c] - xc;
+      row[c] += dd * dd;
+    }
+  }
 }
 
 }  // namespace
@@ -147,6 +167,35 @@ void accum_rowsq(const double* __restrict__ v, std::size_t n,
     const double* vi = v + i * stride;
 #pragma GCC ivdep
     for (std::size_t c = 0; c < bc; ++c) out[c] += vi[c] * vi[c];
+  }
+}
+
+HB_FASTMATH_CLONES
+void gauss_nw_sums(const double* __restrict__ ct, const double* __restrict__ x,
+                   const double* __restrict__ y, std::size_t n, std::size_t d,
+                   std::size_t bc, std::size_t bstride, double inv_two_h2,
+                   double* __restrict__ row, double* __restrict__ min_d2,
+                   double* __restrict__ num, double* __restrict__ den) {
+  for (std::size_t c = 0; c < bc; ++c) {
+    min_d2[c] = std::numeric_limits<double>::infinity();
+    num[c] = 0.0;
+    den[c] = 0.0;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    sq_dist_row(ct, x + i * d, d, bc, bstride, row);
+#pragma GCC ivdep
+    for (std::size_t c = 0; c < bc; ++c)
+      min_d2[c] = row[c] < min_d2[c] ? row[c] : min_d2[c];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    sq_dist_row(ct, x + i * d, d, bc, bstride, row);
+    const double yi = y[i];
+#pragma GCC ivdep
+    for (std::size_t c = 0; c < bc; ++c) {
+      const double w = exp_core((min_d2[c] - row[c]) * inv_two_h2);
+      num[c] += w * yi;
+      den[c] += w;
+    }
   }
 }
 

@@ -73,6 +73,22 @@ void accum_rowsq(const double* v, std::size_t n, std::size_t stride,
 void trsm_lower_inplace(const double* l, std::size_t lstride, std::size_t n,
                         double* b, std::size_t count, std::size_t bstride);
 
+/// Gaussian Nadaraya-Watson sums of n support points x (row-major n x d)
+/// carrying values y, for bc queries given TRANSPOSED as ct (d x bstride,
+/// coordinate-major). With d2(i, c) = ||z_c - x_i||^2, per query c:
+///   min_d2[c] = min_i d2(i, c),
+///   w(i, c)   = exp(-(d2(i, c) - min_d2[c]) * inv_two_h2),
+///   num[c]    = sum_i w(i, c) * y[i],   den[c] = sum_i w(i, c),
+/// summed in ascending i. The exponentials are exp_many's (2 ulp), the
+/// sums may contract to FMA, and the shift gives the nearest support point
+/// weight 1, so den[c] >= 1 up to rounding. Two passes over the support
+/// recompute the distances instead of storing an n x bc block, so the
+/// only working buffer is `row` (bc doubles).
+void gauss_nw_sums(const double* ct, const double* x, const double* y,
+                   std::size_t n, std::size_t d, std::size_t bc,
+                   std::size_t bstride, double inv_two_h2, double* row,
+                   double* min_d2, double* num, double* den);
+
 /// Matern-5/2 covariance from distances: out[i] = sigma2 * (1 + s + s^2/3)
 /// * exp(-s) with s = sqrt(5) * r[i] / length. out may alias r.
 void matern52_from_r(double length, double sigma2, const double* r,

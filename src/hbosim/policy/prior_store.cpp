@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "hbosim/common/error.hpp"
+#include "hbosim/common/fastmath.hpp"
 #include "hbosim/telemetry/telemetry.hpp"
 
 namespace hbosim::policy {
@@ -52,6 +53,25 @@ ScenarioPrior::ScenarioPrior(std::vector<std::vector<double>> zs,
   for (double c : costs_) sum += c;
   global_mean_ = sum / static_cast<double>(n);
   inv_two_h2_ = 1.0 / (2.0 * cfg.mean_bandwidth * cfg.mean_bandwidth);
+
+  // Error budget of mean_many() against mean() (eps = 2^-53). Both
+  // evaluate m0 = conf * L + (1 - conf) * g with L = sum w_i phi_i /
+  // sum w_i, and differ only in the exponential (exp_many's 2 ulp vs
+  // std::exp's 1 ulp) and in FMA contraction of the distance and weighted
+  // sums. Each weight, and conf, then carries a relative error of at most
+  // ~(dim + 8) eps (1 + k (d2_i + min_d2)) with k = 1 / (2 h^2). Only
+  // weights with k (d2_i - min_d2) <= 40 register against the nearest
+  // point's weight of 1, and k min_d2 is large only where conf =
+  // exp(-k min_d2) is tiny (conf k min_d2 <= 1/e), so the argument term
+  // stays below ~42. L is a convex combination of the costs: a relative
+  // weight error eta moves it by at most 2 eta Phi (Phi = max |phi_i|),
+  // summation rounding adds at most 2 n eps Phi, and the conf error moves
+  // m0 by at most 2 |d conf| Phi. With dim <= 8 that totals under
+  // 1e-12 Phi at the store's caps (n <= 256) and under 5e-10 Phi up to
+  // n = 10^6; the declared bound is 1e-9 max(1, Phi, |g|).
+  double max_abs = std::max(1.0, std::abs(global_mean_));
+  for (double c : costs_) max_abs = std::max(max_abs, std::abs(c));
+  mean_many_tol_ = 1e-9 * max_abs;
 
   // Length-scale hint: the median pairwise support distance, relative to
   // the kernel's default scale of 1 (the simplex-box diameter is ~1.4, so
@@ -124,6 +144,45 @@ double ScenarioPrior::mean(std::span<const double> z) const {
   // is, on the same kernel scale. 1 on top of data, ~0 far away.
   const double conf = std::exp(-min_d2 * inv_two_h2_);
   return conf * local + (1.0 - conf) * global_mean_;
+}
+
+void ScenarioPrior::mean_many(std::span<const double> zs_flat,
+                              std::size_t count, std::span<double> out,
+                              std::vector<double>& scratch) const {
+  HB_REQUIRE(out.size() >= count, "mean_many: output too small");
+  if (count == 0) return;
+  if (zs_flat.size() != count * dim_) {
+    HB_REQUIRE(zs_flat.size() % count == 0,
+               "mean_many: flat input size is not a multiple of count");
+    std::fill(out.begin(), out.begin() + count, global_mean_);
+    return;
+  }
+  const std::size_t n = costs_.size();
+  const std::size_t d = dim_;
+  constexpr std::size_t kB = kMeanBlock;
+  scratch.resize((d + 5) * kB);
+  double* ct = scratch.data();  // d x kB, coordinate-major
+  double* row = ct + d * kB;
+  double* min_d2 = row + kB;
+  double* num = min_d2 + kB;
+  double* den = num + kB;
+  double* conf = den + kB;
+
+  for (std::size_t b0 = 0; b0 < count; b0 += kB) {
+    const std::size_t bc = std::min(kB, count - b0);
+    for (std::size_t c = 0; c < bc; ++c)
+      for (std::size_t j = 0; j < d; ++j)
+        ct[j * kB + c] = zs_flat[(b0 + c) * d + j];
+    fastmath::gauss_nw_sums(ct, zs_flat_.data(), costs_.data(), n, d, bc, kB,
+                            inv_two_h2_, row, min_d2, num, den);
+    // Same shift-and-blend as mean(), per column.
+    for (std::size_t c = 0; c < bc; ++c) conf[c] = -min_d2[c] * inv_two_h2_;
+    fastmath::exp_many(conf, conf, bc);
+    for (std::size_t c = 0; c < bc; ++c) {
+      const double local = num[c] / den[c];
+      out[b0 + c] = conf[c] * local + (1.0 - conf[c]) * global_mean_;
+    }
+  }
 }
 
 std::vector<std::vector<double>> ScenarioPrior::seed_points(

@@ -96,6 +96,17 @@ class ScenarioPrior : public bo::SurrogatePrior {
   /// to the global support mean far from every support point.
   double mean(std::span<const double> z) const override;
 
+  /// The same estimate for a whole candidate batch, kMeanBlock queries at
+  /// a time through fastmath::gauss_nw_sums; agrees with mean() to within
+  /// mean_many_tolerance() (derivation in prior_store.cpp).
+  void mean_many(std::span<const double> zs_flat, std::size_t count,
+                 std::span<double> out,
+                 std::vector<double>& scratch) const override;
+  double mean_many_tolerance() const override { return mean_many_tol_; }
+
+  /// Queries per mean_many() block; scratch holds (dim + 5) blocks.
+  static constexpr std::size_t kMeanBlock = 64;
+
   /// Median pairwise support distance, clamped to [0.15, 1.5]; 0 with
   /// fewer than two distinct support points.
   double length_scale_factor() const override { return length_scale_factor_; }
@@ -118,6 +129,7 @@ class ScenarioPrior : public bo::SurrogatePrior {
   std::vector<std::size_t> seed_order_;  ///< indices, cost-ascending, deduped
   double global_mean_ = 0.0;
   double inv_two_h2_ = 0.0;  ///< 1 / (2 h^2)
+  double mean_many_tol_ = 0.0;
   double length_scale_factor_ = 0.0;
 };
 

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <string>
 
 #include "hbosim/ai/exec_plan.hpp"
 #include "hbosim/common/error.hpp"
@@ -17,7 +17,7 @@ using soc::Delegate;
 
 struct PlanCase {
   int device_index;  // into builtin_devices()
-  const char* model;
+  std::string model;
   Delegate delegate;
 };
 
@@ -47,8 +47,7 @@ std::vector<PlanCase> all_cases() {
     for (const std::string& model :
          devices[static_cast<std::size_t>(d)].model_names()) {
       for (int i = 0; i < soc::kNumDelegates; ++i) {
-        cases.push_back(PlanCase{d, strdup(model.c_str()),
-                                 soc::delegate_from_index(i)});
+        cases.push_back(PlanCase{d, model, soc::delegate_from_index(i)});
       }
     }
   }

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "hbosim/bo/optimizer.hpp"
 #include "hbosim/common/error.hpp"
 #include "hbosim/common/mathx.hpp"
+#include "hbosim/telemetry/telemetry.hpp"
 
 namespace hbosim::bo {
 namespace {
@@ -252,6 +254,137 @@ TEST(Optimizer, SetKernelInvalidatesLiveSurrogates) {
     const auto z = opt.suggest(rng);
     EXPECT_TRUE(opt.space().contains(z, 1e-9));
     opt.tell(z, synthetic_cost(z));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Prior screen: suggest() with a learned prior scores candidates with the
+// batched mean_many() and confirms only the possible winners with the
+// exact mean(). These tests pin that the chosen point is bitwise the one
+// an exhaustive exact loop picks, whatever the batched path returns
+// within its declared tolerance.
+
+/// Test priors over one smooth mean function, quantized to multiples of
+/// 2^-20 so that m +- 2^-12 is exact in floating point. Variants differ
+/// only in how mean_many() answers and what tolerance it declares.
+class GridPrior : public SurrogatePrior {
+ public:
+  enum class Mode {
+    Exact,       ///< default mean_many (loops mean()), tolerance 0
+    Exhaustive,  ///< exact values, tolerance so wide every candidate
+                 ///< survives the screen: the exhaustive exact loop
+    Adversarial  ///< off by exactly +-kTol, sign varying per candidate
+  };
+  static constexpr double kTol = 1.0 / 4096.0;
+
+  explicit GridPrior(Mode mode) : mode_(mode) {}
+
+  double mean(std::span<const double> z) const override {
+    const double f =
+        0.8 * std::sin(3.0 * z[0] + 1.0) + 0.5 * z[1] * z[2] - 0.4 * z[3];
+    return std::round(f * 1048576.0) / 1048576.0;
+  }
+  void mean_many(std::span<const double> zs_flat, std::size_t count,
+                 std::span<double> out,
+                 std::vector<double>& scratch) const override {
+    SurrogatePrior::mean_many(zs_flat, count, out, scratch);
+    if (mode_ != Mode::Adversarial) return;
+    for (std::size_t c = 0; c < count; ++c) {
+      const auto q = static_cast<long long>(std::llround(out[c] * 1048576.0));
+      out[c] += ((q + static_cast<long long>(c)) % 2 == 0) ? kTol : -kTol;
+    }
+  }
+  double mean_many_tolerance() const override {
+    switch (mode_) {
+      case Mode::Exact: return 0.0;
+      case Mode::Exhaustive: return 1e3;
+      case Mode::Adversarial: return kTol;
+    }
+    return 0.0;
+  }
+
+ private:
+  Mode mode_;
+};
+
+std::vector<std::vector<double>> prior_run(GridPrior::Mode mode,
+                                           AcquisitionKind acq,
+                                           std::uint64_t seed, double xi) {
+  BoConfig cfg;
+  cfg.n_initial = 4;
+  cfg.acquisition = acq;
+  cfg.acq_params.xi = xi;
+  cfg.prior = std::make_shared<GridPrior>(mode);
+  BayesianOptimizer opt(SimplexBoxSpace(3, 0.2, 1.0), cfg);
+  Rng rng(seed);
+  std::vector<std::vector<double>> suggestions;
+  for (int i = 0; i < 14; ++i) {
+    auto z = opt.suggest(rng);
+    // The residual the GP sees is cost - prior mean: keep it non-trivial.
+    opt.tell(z, synthetic_cost(z) + 0.3 * std::cos(5.0 * z[1]));
+    suggestions.push_back(std::move(z));
+  }
+  return suggestions;
+}
+
+/// Candidates re-scored with the exact mean() during f(), read from the
+/// optimizer's bo.prior_confirms counter.
+template <typename F>
+double confirms_during(F&& f) {
+  telemetry::TelemetrySession session;
+  f();
+  const telemetry::MetricsSnapshot snap = session.metrics().snapshot();
+  const telemetry::MetricValue* m = snap.find("bo.prior_confirms");
+  return m ? m->value : 0.0;
+}
+
+// 14 suggests minus 4 initialization draws, 576 candidates each.
+constexpr double kAllCandidates = 10.0 * 576.0;
+
+TEST(OptimizerPriorScreen, MatchesExhaustiveExactLoopBitwise) {
+  // The reference really is exhaustive: every candidate is confirmed.
+  EXPECT_EQ(confirms_during([] {
+              prior_run(GridPrior::Mode::Exhaustive,
+                        AcquisitionKind::ExpectedImprovement, 3, 0.01);
+            }),
+            kAllCandidates);
+
+  using Mode = GridPrior::Mode;
+  for (auto acq : {AcquisitionKind::ExpectedImprovement,
+                   AcquisitionKind::ProbabilityOfImprovement,
+                   AcquisitionKind::LowerConfidenceBound}) {
+    for (std::uint64_t seed : {3u, 17u, 2024u}) {
+      const auto exhaustive = prior_run(Mode::Exhaustive, acq, seed, 0.01);
+      const auto exact = prior_run(Mode::Exact, acq, seed, 0.01);
+      const auto adversarial = prior_run(Mode::Adversarial, acq, seed, 0.01);
+      // operator== on the coordinate vectors: every double must match.
+      EXPECT_EQ(exact, exhaustive)
+          << acquisition_name(acq) << " seed " << seed;
+      EXPECT_EQ(adversarial, exhaustive)
+          << acquisition_name(acq) << " seed " << seed;
+    }
+  }
+}
+
+TEST(OptimizerPriorScreen, AllZeroExpectedImprovementKeepsFirstCandidate) {
+  // A huge xi makes EI underflow to exactly 0 at every candidate: every
+  // candidate ties, all survive the screen, and the first-strictly-greater
+  // rule still picks candidate 0, as the exhaustive loop does.
+  using Mode = GridPrior::Mode;
+  for (std::uint64_t seed : {5u, 6u}) {
+    const auto exhaustive = prior_run(
+        Mode::Exhaustive, AcquisitionKind::ExpectedImprovement, seed, 1e6);
+    std::vector<std::vector<double>> adversarial;
+    EXPECT_EQ(confirms_during([&] {
+                adversarial = prior_run(Mode::Adversarial,
+                                        AcquisitionKind::ExpectedImprovement,
+                                        seed, 1e6);
+              }),
+              kAllCandidates);
+    EXPECT_EQ(adversarial, exhaustive);
+    EXPECT_EQ(prior_run(Mode::Exact, AcquisitionKind::ExpectedImprovement,
+                        seed, 1e6),
+              exhaustive);
   }
 }
 

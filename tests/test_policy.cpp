@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <memory>
+#include <thread>
 
 #include "hbosim/bo/optimizer.hpp"
 #include "hbosim/common/error.hpp"
@@ -162,6 +163,99 @@ TEST(PriorStore, ReservoirSubsamplingIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
+// ScenarioPrior::mean_many against mean()
+
+/// n seeded random support points in the 4-d HBO box (every third one a
+/// copy of its predecessor, so coincident points are covered), with costs
+/// in [-3, 3).
+policy::ScenarioPrior random_prior(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> zs;
+  std::vector<double> costs;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 3 == 2) {
+      zs.push_back(zs.back());
+    } else {
+      zs.push_back({rng.uniform(), rng.uniform(), rng.uniform(),
+                    rng.uniform(0.2, 1.0)});
+    }
+    costs.push_back(rng.uniform(-3.0, 3.0));
+  }
+  return policy::ScenarioPrior(zs, costs, policy::PriorStoreConfig{});
+}
+
+/// count 4-d queries, row-major: two in three inside the box, the rest
+/// 1 to 40 box-widths away from every support point, where the nearest
+/// weight underflows without the min-shift.
+std::vector<double> random_queries(std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> zs;
+  for (std::size_t c = 0; c < count; ++c) {
+    const double off = (c % 3 == 2) ? rng.uniform(1.0, 40.0) : 0.0;
+    for (int j = 0; j < 4; ++j) zs.push_back(rng.uniform() + off);
+  }
+  return zs;
+}
+
+TEST(ScenarioPriorMeanMany, AgreesWithMeanWithinTolerance) {
+  constexpr std::size_t kB = policy::ScenarioPrior::kMeanBlock;
+  for (std::size_t n : {1u, 2u, 96u, 256u}) {
+    const policy::ScenarioPrior prior = random_prior(n, 100 + n);
+    const double tol = prior.mean_many_tolerance();
+    EXPECT_GE(tol, 1e-9);
+    std::vector<double> scratch;
+    for (std::size_t count : {std::size_t{1}, kB - 1, kB, kB + 1,
+                              std::size_t{576}}) {
+      const std::vector<double> zs = random_queries(count, 7 * count + n);
+      std::vector<double> out(count);
+      prior.mean_many(zs, count, out, scratch);
+      for (std::size_t c = 0; c < count; ++c) {
+        const double exact = prior.mean({zs.data() + c * 4, 4});
+        EXPECT_LE(std::abs(out[c] - exact), tol)
+            << "n " << n << " count " << count << " query " << c;
+      }
+    }
+  }
+}
+
+TEST(ScenarioPriorMeanMany, DimensionMismatchFallsBackToGlobalMean) {
+  const policy::ScenarioPrior prior = random_prior(12, 9);
+  const std::vector<double> zs = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6};  // 2 x 3-d
+  std::vector<double> out(2, 0.0);
+  std::vector<double> scratch;
+  prior.mean_many(zs, 2, out, scratch);
+  EXPECT_EQ(out[0], prior.global_mean());
+  EXPECT_EQ(out[1], prior.global_mean());
+  EXPECT_EQ(prior.mean({zs.data(), 3}), prior.global_mean());
+}
+
+// One immutable prior shared by several threads, each with its own
+// scratch, must give every thread the single-threaded answer bit for bit
+// (the TSan job runs this test too).
+TEST(ScenarioPriorMeanMany, SharedPriorAcrossThreadsWithOwnScratch) {
+  const auto prior = std::make_shared<const policy::ScenarioPrior>(
+      random_prior(256, 31));
+  const std::vector<double> zs = random_queries(576, 32);
+  std::vector<double> reference(576);
+  std::vector<double> ref_scratch;
+  prior->mean_many(zs, 576, reference, ref_scratch);
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<double> scratch;
+      std::vector<double> out(576);
+      for (int rep = 0; rep < 8; ++rep) prior->mean_many(zs, 576, out, scratch);
+      results[static_cast<std::size_t>(t)] = out;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const std::vector<double>& r : results) EXPECT_EQ(r, reference);
+}
+
+// ---------------------------------------------------------------------------
 // Prior injection into the Bayesian optimizer
 
 /// A prior that knows the objective exactly: mean() is the true cost and
@@ -253,6 +347,60 @@ TEST(OptimizerPrior, LengthScaleHintJoinsGridOnlyWhenPositive) {
       opt.tell(std::move(z), c);
     }
     EXPECT_EQ(opt.observation_count(), 6u);
+  }
+}
+
+/// Forwards to a prior but keeps the default mean_many(), which loops over
+/// mean() and declares tolerance 0: an optimizer holding it scores every
+/// candidate with the exact mean, the reference the screen must match.
+class ExactMeanOnly : public bo::SurrogatePrior {
+ public:
+  explicit ExactMeanOnly(std::shared_ptr<const bo::SurrogatePrior> inner)
+      : inner_(std::move(inner)) {}
+  double mean(std::span<const double> z) const override {
+    return inner_->mean(z);
+  }
+  double length_scale_factor() const override {
+    return inner_->length_scale_factor();
+  }
+  std::vector<std::vector<double>> seed_points(std::size_t k) const override {
+    return inner_->seed_points(k);
+  }
+  std::size_t dim() const override { return inner_->dim(); }
+
+ private:
+  std::shared_ptr<const bo::SurrogatePrior> inner_;
+};
+
+// A fitted ScenarioPrior drives the batched screen; the suggestion
+// sequence must equal the exact per-candidate loop's, bit for bit, for
+// every acquisition function.
+TEST(OptimizerPrior, ScreenedSuggestionsEqualExactMeanLoop) {
+  const bo::SimplexBoxSpace space(3, 0.2, 1.0);
+  for (std::size_t n : {2u, 96u, 256u}) {
+    auto prior = std::make_shared<const policy::ScenarioPrior>(
+        random_prior(n, 500 + n));
+    for (auto acq : {bo::AcquisitionKind::ExpectedImprovement,
+                     bo::AcquisitionKind::ProbabilityOfImprovement,
+                     bo::AcquisitionKind::LowerConfidenceBound}) {
+      auto run = [&](std::shared_ptr<const bo::SurrogatePrior> p) {
+        bo::BoConfig cfg;
+        cfg.n_initial = 3;
+        cfg.acquisition = acq;
+        cfg.prior = std::move(p);
+        bo::BayesianOptimizer opt(space, cfg);
+        Rng rng(40 + n);
+        std::vector<std::vector<double>> zs;
+        for (int i = 0; i < 12; ++i) {
+          std::vector<double> z = opt.suggest(rng);
+          opt.tell(z, std::sin(4.0 * z[0]) + z[1] - 0.5 * z[3]);
+          zs.push_back(std::move(z));
+        }
+        return zs;
+      };
+      EXPECT_EQ(run(prior), run(std::make_shared<ExactMeanOnly>(prior)))
+          << "n " << n << " " << bo::acquisition_name(acq);
+    }
   }
 }
 
