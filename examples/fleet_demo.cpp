@@ -73,7 +73,10 @@
 //                          pool: pool warm starts depend on completion order
 //                          (see fleet_simulator.hpp), and the deep-dive
 //                          re-run must reproduce the fleet's trajectory
-//                          bit for bit.
+//                          bit for bit. For the same reason it cannot
+//                          combine with --policy prior|bandit or --market
+//                          (exit 2): a lone re-run lacks the epoch's
+//                          learned artifacts.
 //   --gantt <file.csv>     with --sched: write the re-run worst session's
 //                          per-job Gantt timeline as CSV.
 //
@@ -174,6 +177,14 @@ int main(int argc, char** argv) {
                    " [--sessions N] [--stream]\n";
       return 2;
     }
+  }
+
+  if (use_sched && (use_market || policy_mode != "off")) {
+    std::cerr << "--sched cannot run with --policy prior|bandit or --market: "
+                 "its worst-session deep-dive re-runs one session alone, "
+                 "without the epoch's learned priors, bandit model or "
+                 "market allocation it ran against\n";
+    return 2;
   }
 
   std::unique_ptr<telemetry::TelemetrySession> telem;

@@ -271,10 +271,10 @@ class StreamingSummary {
 };
 
 /// One-pass fleet roll-up fed a SessionResult at a time, in session-id
-/// order. Mode Exact retains the six metric samples per session and
-/// reproduces the historical aggregate_fleet() output bit for bit; mode
-/// Streaming holds only sketches, so memory is independent of fleet size
-/// (the 10^5+-session path). Counters sum identically in both modes.
+/// order. Mode Exact retains the metric samples and reproduces the
+/// historical aggregate_fleet() output bit for bit; mode Streaming holds
+/// only sketches, so memory is independent of fleet size (the
+/// 10^5+-session path). Counters sum identically in both modes.
 class FleetAccumulator {
  public:
   enum class Mode { Exact, Streaming };
@@ -295,6 +295,22 @@ class FleetAccumulator {
                         const edgesvc::EdgeFleetStats* edge = nullptr) const;
 
  private:
+  /// One per-session metric's sample in the accumulator's mode: Exact
+  /// retains every value for summarize_metric (sort once at finalize),
+  /// Streaming feeds a StreamingSummary.
+  class Sampler {
+   public:
+    explicit Sampler(Mode mode) : mode_(mode) {}
+    void add(double x);
+    /// Throws on an empty Exact sample, like summarize_metric.
+    MetricSummary summary() const;
+
+   private:
+    Mode mode_;
+    std::vector<double> values_;  ///< Mode Exact.
+    StreamingSummary sketch_;     ///< Mode Streaming.
+  };
+
   Mode mode_;
   std::size_t count_ = 0;
   FleetMetrics totals_;  ///< Counter sums accumulated as sessions arrive.
@@ -305,19 +321,11 @@ class FleetAccumulator {
   std::size_t market_sessions_ = 0;   ///< Sessions run under the allocator.
   std::size_t offload_sessions_ = 0;  ///< Sessions in the 4-target space.
 
-  // Mode Exact: retained samples, summarized (sort-once) at finalize.
-  std::vector<double> quality_, eps_, reward_;
-  std::vector<double> watts_, temps_, drains_;
-  std::vector<double> sched_p99s_;
-  std::vector<double> market_res_;
-  std::vector<double> edge_shares_;
-
-  // Mode Streaming: O(1) sketches.
-  StreamingSummary s_quality_, s_eps_, s_reward_;
-  StreamingSummary s_watts_, s_temps_, s_drains_;
-  StreamingSummary s_sched_p99s_;
-  StreamingSummary s_market_res_;
-  StreamingSummary s_edge_shares_;
+  Sampler quality_{mode_}, eps_{mode_}, reward_{mode_};
+  Sampler watts_{mode_}, temps_{mode_}, drains_{mode_};
+  Sampler sched_p99s_{mode_};
+  Sampler market_res_{mode_};
+  Sampler edge_shares_{mode_};
 };
 
 /// Roll per-session results up into fleet-wide metrics — the exact path,

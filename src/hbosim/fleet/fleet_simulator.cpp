@@ -5,6 +5,7 @@
 #include <cmath>
 #include <deque>
 #include <future>
+#include <optional>
 #include <utility>
 
 #include "hbosim/common/arena.hpp"
@@ -197,60 +198,21 @@ SessionSpec FleetSimulator::session_spec(std::size_t id) const {
   return out;
 }
 
-SessionResult FleetSimulator::run_session(const SessionSpec& spec) const {
-  return run_policy_session(spec, nullptr, nullptr).result;
-}
-
 SessionResult FleetSimulator::run_session_traced(
     const SessionSpec& spec, des::SchedTrace& trace) const {
+  HB_REQUIRE(spec_.policy.mode == PolicyMode::Off && !spec_.market.enabled,
+             "run_session_traced cannot reproduce a session of a fleet with "
+             "a learner (policy mode prior/bandit or the market): the "
+             "session ran against its epoch's frozen priors, bandit model "
+             "or market allocation, which a lone re-run does not have");
   // No arena wrapper: this is a one-off diagnostic re-run, and the
   // caller's trace must not depend on any worker-arena lifetime.
-  return run_policy_session_impl(spec, nullptr, nullptr, &trace).result;
+  return run_session(spec, EpochArtifacts{}, &trace).result;
 }
 
-PolicySessionOutput FleetSimulator::run_policy_session(
-    const SessionSpec& spec,
-    std::shared_ptr<const policy::PriorSnapshot> priors,
-    std::shared_ptr<const policy::LinUcbBandit> bandit) const {
-  if (!spec_.use_session_arena) {
-    return run_policy_session_impl(spec, std::move(priors), std::move(bandit));
-  }
-  Arena& arena = session_arena();
-  PolicySessionOutput out;
-  {
-    // Everything the session allocates through ArenaAllocator (event
-    // queue, traces, lookup table) lands in this worker's arena; the
-    // output below is plain-allocator and safely outlives the reset.
-    ArenaScope scope(arena);
-    out = run_policy_session_impl(spec, std::move(priors), std::move(bandit));
-  }
-  arena.reset();  // recycle the blocks for this worker's next session
-  return out;
-}
-
-SessionResult FleetSimulator::run_market_session(
-    const SessionSpec& spec,
-    const marketsvc::TenantAllocation& alloc) const {
-  if (!spec_.use_session_arena) {
-    return run_policy_session_impl(spec, nullptr, nullptr, nullptr, &alloc)
-        .result;
-  }
-  Arena& arena = session_arena();
-  SessionResult out;
-  {
-    ArenaScope scope(arena);
-    out = run_policy_session_impl(spec, nullptr, nullptr, nullptr, &alloc)
-              .result;
-  }
-  arena.reset();
-  return out;
-}
-
-PolicySessionOutput FleetSimulator::run_policy_session_impl(
-    const SessionSpec& spec,
-    std::shared_ptr<const policy::PriorSnapshot> priors,
-    std::shared_ptr<const policy::LinUcbBandit> bandit,
-    des::SchedTrace* trace, const marketsvc::TenantAllocation* market) const {
+FleetSimulator::SessionOutput FleetSimulator::run_session(
+    const SessionSpec& spec, const EpochArtifacts& frozen,
+    des::SchedTrace* deep_dive) const {
   const auto t0 = std::chrono::steady_clock::now();
 
   // Telemetry: name this worker's wall-clock track, route the session's
@@ -282,6 +244,7 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
   // event runs. The trace is plain-heap (never arena-backed — it outlives
   // run_session_traced's caller scope) and purely observational, so the
   // simulated trajectory is bit-identical with and without it.
+  des::SchedTrace* trace = deep_dive;
   std::unique_ptr<des::SchedTrace> owned_trace;
   if (trace == nullptr && spec_.sched.enabled) {
     owned_trace = std::make_unique<des::SchedTrace>(spec_.sched);
@@ -297,7 +260,12 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
     }
   }
 
-  PolicySessionOutput output;
+  const marketsvc::TenantAllocation* market =
+      frozen.allocations.empty()
+          ? nullptr
+          : &frozen.allocations[spec.id - frozen.first];
+
+  SessionOutput output;
   SessionResult& out = output.result;
   out.session_id = spec.id;
   out.device = spec.device;
@@ -338,14 +306,14 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
         spec_.market.allocator.resolution_gamma));
   }
 
-  if (bandit) {
+  if (frozen.bandit) {
     // Agent mode: the LinUCB loop replaces HBO entirely. Selection runs
-    // against the frozen epoch model; the pulls travel back to the
-    // barrier as Experience for the main-thread learner feed.
+    // against the frozen epoch model; the pulls travel back to the main
+    // thread as Experience for the learner feed.
     policy::BanditSessionConfig bcfg;
     bcfg.hbo = spec_.session.hbo;
     bcfg.hbo.seed = spec.seed;
-    policy::BanditSession session(*app, bandit, bcfg);
+    policy::BanditSession session(*app, frozen.bandit, bcfg);
     session.run_until(spec_.duration_s);
     out.sim_seconds = app->sim().now();
     out.periods = session.reward_stat().count();
@@ -389,12 +357,12 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
       session.set_solution_store(std::move(hooks));
     }
 
-    if (priors) {
+    if (frozen.priors) {
       // Prior mode: full activations consult the frozen epoch snapshot
       // (exact environment first, pooled scenario fallback). Reads only —
-      // the store itself is fed at the barrier.
+      // the store itself is fed on the main thread.
       core::PolicyHooks hooks;
-      hooks.prior = [priors, device = spec.device,
+      hooks.prior = [priors = frozen.priors, device = spec.device,
                      scenario = spec.scenario_name()](
                         const core::EnvironmentKey& env)
           -> std::shared_ptr<const bo::SurrogatePrior> {
@@ -415,11 +383,11 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
       if (a.warm_start) ++out.warm_starts;
       if (a.from_shared_store) ++out.shared_warm_starts;
       if (a.prior_injected) ++out.prior_activations;
-      if (priors && !a.warm_start) {
+      if (frozen.priors && !a.warm_start) {
         // Carry every explored (z, cost) back for the PriorStore feed,
         // keyed by the environment the activation fired in.
         for (const core::IterationRecord& r : a.result.history)
-          output.observations.push_back(PolicyObservation{a.env, r.z, r.cost});
+          output.observations.push_back(PriorObservation{a.env, r.z, r.cost});
       }
     }
     out.edge_bo_fallbacks = session.edge_bo_fallbacks();
@@ -437,7 +405,9 @@ PolicySessionOutput FleetSimulator::run_policy_session_impl(
     out.edge_units = es.units;
     out.edge_service_s = es.own_service_s;
     out.edge_elapsed_s = es.total_elapsed_s;
-    broker_->absorb(*edge_client);
+    // A deep-dive re-run already counted in the fleet run; absorbing it
+    // again would double-count its edge traffic.
+    if (deep_dive == nullptr) broker_->absorb(*edge_client);
   }
   if (offloader) {
     const ai::InferenceEngine& eng = app->engine();
@@ -544,114 +514,96 @@ FleetResult FleetSimulator::run() {
     }
   };
 
-  if (spec_.market.enabled) {
-    // Market epoch loop: every epoch the broker's JointAllocator ticks
-    // once over the epoch's tenants (main thread, session-id order),
-    // the sessions run concurrently against that frozen decision vector,
-    // and at the barrier the allocator observes what each tenant actually
-    // consumed — again in session-id order. Tick inputs, decisions, and
-    // feed order are all pure functions of the spec, so a market fleet is
-    // bit-identical on 1 and N threads (same recipe as the policy loop).
-    ThreadPool workers(threads);
-    marketsvc::JointAllocator& allocator = broker_->market();
-    const std::size_t epoch = spec_.market.epoch_sessions;
-    for (std::size_t start = 0; start < spec_.sessions; start += epoch) {
-      HB_TRACE_SCOPE("fleet", "fleet.market_epoch");
-      const std::size_t end = std::min(start + epoch, spec_.sessions);
-      std::vector<marketsvc::TenantDemand> demands;
-      demands.reserve(end - start);
-      for (std::size_t id = start; id < end; ++id) {
-        marketsvc::TenantDemand d;
-        d.tenant = id;
-        demands.push_back(d);
-      }
-      auto allocations =
-          std::make_shared<const std::vector<marketsvc::TenantAllocation>>(
-              allocator.tick(demands));
-      std::vector<std::future<SessionResult>> futures;
-      futures.reserve(end - start);
-      for (std::size_t id = start; id < end; ++id) {
-        futures.push_back(workers.submit(
-            [this, spec = session_spec(id), allocations, i = id - start] {
-              return run_market_session(spec, (*allocations)[i]);
-            }));
-      }
-      for (std::future<SessionResult>& f : futures) {
-        SessionResult r = f.get();
-        marketsvc::MeasuredUsage usage;
-        usage.payload_bytes = r.edge_payload_bytes;
-        usage.requests = r.edge_requests;
-        usage.units = r.edge_units;
-        usage.service_s = r.edge_service_s;
-        usage.duration_s = r.sim_seconds;
-        allocator.observe(r.session_id, usage, r.market_resolution);
-        consume(std::move(r));
-      }
+  // One epoch pipeline (see fleet_simulator.hpp). Without a learner the
+  // whole fleet is one epoch and the window slides with no barrier.
+  const bool learner =
+      spec_.market.enabled || spec_.policy.mode != PolicyMode::Off;
+  const std::size_t epoch = spec_.market.enabled ? spec_.market.epoch_sessions
+                            : learner ? spec_.policy.epoch_sessions
+                                      : spec_.sessions;
+  const char* epoch_span =
+      spec_.market.enabled ? "fleet.market_epoch" : "fleet.policy_epoch";
+
+  // Bounded in-flight window: submit ahead of consumption by enough to
+  // keep every worker fed, but collect (in id order) as futures at the
+  // window's head complete, so retained memory is O(threads) — not
+  // O(sessions) — when results aren't being kept. get() rethrows any
+  // session failure to the caller.
+  ThreadPool workers(threads);
+  const std::size_t window = std::max<std::size_t>(threads * 8, 64);
+  std::deque<std::future<SessionOutput>> inflight;
+  // Window head, main thread, session-id order: feed every learner that
+  // is on from the session's traffic, then roll the result up.
+  auto collect = [this, &inflight, &consume] {
+    SessionOutput o = inflight.front().get();
+    inflight.pop_front();
+    for (const PriorObservation& obs : o.observations) {
+      prior_store_->record(
+          policy::PriorKey{o.result.device, o.result.scenario, obs.env},
+          obs.z, obs.cost);
     }
-  } else if (spec_.policy.mode == PolicyMode::Off) {
-    // Bounded in-flight window: submit ahead of consumption by enough to
-    // keep every worker fed, but consume (in id order) as futures at the
-    // window's head complete, so retained memory is O(threads) — not
-    // O(sessions) — when results aren't being kept. get() rethrows any
-    // session failure to the caller.
-    ThreadPool workers(threads);
-    const std::size_t window = std::max<std::size_t>(threads * 8, 64);
-    std::deque<std::future<SessionResult>> inflight;
-    for (std::size_t id = 0; id < spec_.sessions; ++id) {
-      if (inflight.size() >= window) {
-        consume(inflight.front().get());
-        inflight.pop_front();
-      }
-      inflight.push_back(workers.submit(
-          [this, spec = session_spec(id)] { return run_session(spec); }));
+    for (const policy::Experience& e : o.experiences)
+      bandit_->update(e.arm, e.context, e.reward);
+    if (spec_.market.enabled) {
+      const SessionResult& r = o.result;
+      marketsvc::MeasuredUsage usage;
+      usage.payload_bytes = r.edge_payload_bytes;
+      usage.requests = r.edge_requests;
+      usage.units = r.edge_units;
+      usage.service_s = r.edge_service_s;
+      usage.duration_s = r.sim_seconds;
+      broker_->market().observe(r.session_id, usage, r.market_resolution);
     }
-    while (!inflight.empty()) {
-      consume(inflight.front().get());
-      inflight.pop_front();
+    consume(std::move(o.result));
+  };
+
+  for (std::size_t start = 0; start < spec_.sessions; start += epoch) {
+    const std::size_t end = std::min(start + epoch, spec_.sessions);
+    std::optional<telemetry::ScopeTimer> span;
+    if (learner) span.emplace("fleet", epoch_span);
+
+    // Freeze the epoch's artifacts: every session of the epoch reads the
+    // same immutable state, whatever the learners absorb meanwhile.
+    EpochArtifacts artifacts;
+    if (prior_store_) artifacts.priors = prior_store_->snapshot();
+    if (bandit_)
+      artifacts.bandit = std::make_shared<const policy::LinUcbBandit>(*bandit_);
+    if (spec_.market.enabled) {
+      std::vector<marketsvc::TenantDemand> demands(end - start);
+      for (std::size_t id = start; id < end; ++id)
+        demands[id - start].tenant = id;
+      artifacts.allocations = broker_->market().tick(demands);
+      artifacts.first = start;
     }
-  } else {
-    // Epoch loop: every epoch freezes the learner's state, runs its
-    // sessions concurrently against the frozen artifact, then feeds the
-    // learner from the completed sessions in session-id order. The
-    // barrier (and the id-ordered feed) is what makes a policy fleet
-    // bit-identical across thread counts.
-    ThreadPool workers(threads);
-    const std::size_t epoch = spec_.policy.epoch_sessions;
-    for (std::size_t start = 0; start < spec_.sessions; start += epoch) {
-      HB_TRACE_SCOPE("fleet", "fleet.policy_epoch");
-      const std::size_t end = std::min(start + epoch, spec_.sessions);
-      std::shared_ptr<const policy::PriorSnapshot> priors =
-          prior_store_ ? prior_store_->snapshot() : nullptr;
-      std::shared_ptr<const policy::LinUcbBandit> frozen =
-          bandit_ ? std::make_shared<const policy::LinUcbBandit>(*bandit_)
-                  : nullptr;
-      std::vector<std::future<PolicySessionOutput>> futures;
-      futures.reserve(end - start);
-      for (std::size_t id = start; id < end; ++id) {
-        futures.push_back(
-            workers.submit([this, spec = session_spec(id), priors, frozen] {
-              return run_policy_session(spec, priors, frozen);
-            }));
-      }
-      for (std::future<PolicySessionOutput>& f : futures) {
-        PolicySessionOutput o = f.get();
-        if (prior_store_) {
-          for (const PolicyObservation& obs : o.observations) {
-            prior_store_->record(
-                policy::PriorKey{o.result.device, o.result.scenario, obs.env},
-                obs.z, obs.cost);
-          }
+    const auto frozen =
+        std::make_shared<const EpochArtifacts>(std::move(artifacts));
+
+    for (std::size_t id = start; id < end; ++id) {
+      if (inflight.size() >= window) collect();
+      inflight.push_back(workers.submit([this, spec = session_spec(id),
+                                         frozen] {
+        // Everything the session allocates through ArenaAllocator (event
+        // queue, traces, lookup table) lands in this worker's arena; the
+        // output is plain-allocator and safely outlives the reset.
+        Arena& arena = session_arena();
+        SessionOutput out;
+        {
+          ArenaScope scope(arena);
+          out = run_session(spec, *frozen);
         }
-        if (bandit_) {
-          for (const policy::Experience& e : o.experiences)
-            bandit_->update(e.arm, e.context, e.reward);
-        }
-        consume(std::move(o.result));
-      }
+        arena.reset();  // recycle the blocks for this worker's next session
+        return out;
+      }));
+    }
+    if (!learner) continue;
+    // The barrier: the next epoch freezes what this one taught.
+    while (!inflight.empty()) collect();
+    if (spec_.policy.mode != PolicyMode::Off) {
       ++policy_epochs_;
       HB_TELEM_COUNT("fleet.policy_epochs", 1.0);
     }
   }
+  while (!inflight.empty()) collect();
 
   const SharedSolutionPoolStats pool_stats =
       pool_ ? pool_->stats() : SharedSolutionPoolStats{};

@@ -22,24 +22,26 @@
 /// out from a device mix × scenario mix — concurrently on a worker pool,
 /// and rolls their results up into FleetMetrics.
 ///
-/// Determinism: session i's device, scenario, seed, and entire simulated
-/// trajectory are pure functions of (spec, base_seed, i). Worker threads
-/// never share mutable state unless the SharedSolutionPool is enabled, so
-/// a pool-disabled fleet produces bit-identical per-session results on 1
-/// thread and on N threads. With the pool enabled, *which* sessions warm
-/// start depends on completion order and is therefore scheduling-
-/// dependent; each warm-started trajectory is still fully deterministic
-/// given the solution it received.
+/// One pipeline runs every fleet. run() walks the sessions in epochs; at
+/// the start of each epoch the main thread freezes the learners' state
+/// into read-only artifacts — a PriorSnapshot (policy mode Prior), a copy
+/// of the LinUCB model (mode Bandit), the JointAllocator's tick decisions
+/// (market) — and submits the epoch's sessions through one bounded
+/// in-flight window. Results are collected at the window head in
+/// session-id order: the main thread feeds each learner from the session,
+/// then rolls the result up. With a learner on, the window drains at the
+/// end of every epoch (the barrier); with none, the whole fleet is one
+/// epoch and the window slides without a barrier.
 ///
-/// The learned policy layer (FleetSpec::policy) keeps the bit-identity
-/// guarantee even though sessions *learn from each other*: the fleet runs
-/// in epochs of `epoch_sessions` sessions. Every session in an epoch
-/// reads the same frozen artifact — an immutable PriorSnapshot (mode
-/// Prior) or a frozen copy of the LinUCB model (mode Bandit) — and the
-/// mutable learner is fed only at the epoch barrier, on the main thread,
-/// in session-id order. Epoch membership, snapshot content, and feed
-/// order are all pure functions of the spec, so a policy-enabled,
-/// pool-disabled fleet is bit-identical on 1 thread and on N threads.
+/// Determinism: session i's device, scenario, seed, and entire simulated
+/// trajectory are pure functions of (spec, base_seed, i) and of the
+/// frozen artifacts of its epoch. Epoch membership, artifact content, and
+/// feed order are in turn pure functions of the spec, so a pool-disabled
+/// fleet — learners on or off — produces bit-identical per-session results
+/// on 1 thread and on N threads. With the SharedSolutionPool enabled,
+/// *which* sessions warm start depends on completion order and is
+/// therefore scheduling-dependent; each warm-started trajectory is still
+/// fully deterministic given the solution it received.
 
 namespace hbosim::fleet {
 
@@ -74,8 +76,8 @@ struct FleetProgress {
 struct FleetPolicyConfig {
   PolicyMode mode = PolicyMode::Off;
   /// Sessions per learning epoch: every epoch reads one frozen artifact,
-  /// and the learner absorbs the epoch's traffic at the barrier. Smaller
-  /// epochs learn faster but serialize more.
+  /// and the learner has absorbed the epoch's traffic before the next one
+  /// freezes. Smaller epochs learn faster but serialize more.
   std::size_t epoch_sessions = 32;
   policy::PriorStoreConfig prior;  ///< Mode Prior knobs.
   policy::BanditConfig bandit;     ///< Mode Bandit knobs.
@@ -85,8 +87,8 @@ struct FleetPolicyConfig {
 /// cross-tenant JointAllocator decide each tenant's link share, compute
 /// share, resolution knob, and (Pricing policy) admission + price signal.
 /// Same determinism recipe as the policy layer: sessions of an epoch run
-/// against one frozen decision vector, and the allocator is ticked/fed
-/// only at the barrier, on the main thread, in session-id order — so a
+/// against one frozen decision vector, ticked at the epoch's start, and
+/// the allocator is fed on the main thread in session-id order — so a
 /// market fleet is bit-identical on 1 and N threads. Disabled, the fleet
 /// reproduces the mirror-based path bit for bit.
 struct FleetMarketConfig {
@@ -189,14 +191,6 @@ struct FleetSpec {
   /// 10^5–10^6-session path.
   bool retain_results = true;
 
-  /// Back each session's DES state (event queue, trace buffers, lookup
-  /// table) with a per-worker bump arena that is reset between sessions on
-  /// the same worker, so a long fleet run performs O(1) heap allocations
-  /// per worker for that state instead of O(events) per session. Results
-  /// are bit-identical either way (an allocator changes addresses, never
-  /// values); the switch exists for A/B tests and as an escape hatch.
-  bool use_session_arena = true;
-
   /// Invoke `on_progress` (on the main thread, inside run()) every this
   /// many completed sessions; 0 disables. Used by fleet_demo --stream for
   /// throughput/RSS heartbeats on multi-minute mega fleets.
@@ -225,23 +219,6 @@ struct FleetResult {
   FleetMetrics metrics;
 };
 
-/// One (environment, configuration, cost) sample a prior-mode session
-/// produced, carried back to the barrier for the PriorStore feed.
-struct PolicyObservation {
-  core::EnvironmentKey env;
-  std::vector<double> z;
-  double cost = 0.0;
-};
-
-/// run_policy_session's return: the ordinary per-session roll-up plus the
-/// epoch traffic the main thread feeds the learner with, in session-id
-/// order, at the barrier.
-struct PolicySessionOutput {
-  SessionResult result;
-  std::vector<PolicyObservation> observations;  ///< Mode Prior.
-  std::vector<policy::Experience> experiences;  ///< Mode Bandit.
-};
-
 class FleetSimulator {
  public:
   explicit FleetSimulator(FleetSpec spec);
@@ -250,37 +227,17 @@ class FleetSimulator {
   /// (spec, id); independent of threads and of other sessions.
   SessionSpec session_spec(std::size_t id) const;
 
-  /// Simulate one session to completion on the calling thread.
-  SessionResult run_session(const SessionSpec& spec) const;
-
   /// Re-run one session with the caller's SchedTrace attached (regardless
-  /// of FleetSpec::sched.enabled) and return its result. Because every
-  /// session is a pure function of (spec, seed) and tracing never feeds
-  /// back, this reproduces the fleet run's trajectory exactly — the
+  /// of FleetSpec::sched.enabled) and return its result — the
   /// deterministic deep-dive behind `fleet_demo --sched`, which re-runs
-  /// the worst session to print its full forensics report.
+  /// the worst session to print its full forensics report. Tracing never
+  /// feeds back, so this reproduces the fleet run's trajectory exactly,
+  /// and the re-run leaves the fleet's edge-broker stats untouched.
+  /// Throws when the fleet has a learner (policy mode Prior/Bandit or the
+  /// market): a session there ran against its epoch's frozen artifacts,
+  /// which a lone re-run cannot rebuild.
   SessionResult run_session_traced(const SessionSpec& spec,
                                    des::SchedTrace& trace) const;
-
-  /// Simulate one session against frozen epoch artifacts: with `priors`
-  /// set, an HBO session whose full activations consult the snapshot;
-  /// with `bandit` set, a BanditSession selecting against the frozen
-  /// model. Both null reproduces run_session() exactly. Pure function of
-  /// (spec, artifacts) — callable from any worker thread.
-  PolicySessionOutput run_policy_session(
-      const SessionSpec& spec,
-      std::shared_ptr<const policy::PriorSnapshot> priors,
-      std::shared_ptr<const policy::LinUcbBandit> bandit) const;
-
-  /// Simulate one session under a frozen market tick decision: the edge
-  /// client carries the allocator's decided background and resolution,
-  /// the session's HBO cost carries the posted price, and the reported
-  /// quality carries the resolution's perceptual scale. Pure function of
-  /// (spec, allocation) — callable from any worker thread. Requires the
-  /// broker to exist with its market enabled (i.e. inside run()).
-  SessionResult run_market_session(
-      const SessionSpec& spec,
-      const marketsvc::TenantAllocation& alloc) const;
 
   /// Run the whole fleet (blocking). Safe to call repeatedly; each call
   /// starts from a fresh pool/store/learner.
@@ -297,18 +254,41 @@ class FleetSimulator {
   const policy::LinUcbBandit* bandit() const { return bandit_.get(); }
 
  private:
-  /// The session body; run_policy_session wraps it in the per-worker
-  /// ArenaScope when FleetSpec::use_session_arena is set. A non-null
-  /// `trace` (run_session_traced) overrides the spec-owned sched trace;
-  /// a non-null `market` (run_market_session) swaps the mirror client
-  /// for the allocator's market client and applies the decision's
-  /// resolution/price to the session.
-  PolicySessionOutput run_policy_session_impl(
-      const SessionSpec& spec,
-      std::shared_ptr<const policy::PriorSnapshot> priors,
-      std::shared_ptr<const policy::LinUcbBandit> bandit,
-      des::SchedTrace* trace = nullptr,
-      const marketsvc::TenantAllocation* market = nullptr) const;
+  /// The learner state one epoch's sessions read, frozen on the main
+  /// thread at the epoch's start. Members of layers that are off stay
+  /// null/empty.
+  struct EpochArtifacts {
+    std::shared_ptr<const policy::PriorSnapshot> priors;  ///< Mode Prior.
+    std::shared_ptr<const policy::LinUcbBandit> bandit;   ///< Mode Bandit.
+    /// Market tick decisions, indexed by session id minus `first`.
+    std::vector<marketsvc::TenantAllocation> allocations;
+    std::size_t first = 0;
+  };
+
+  /// One (environment, configuration, cost) sample a prior-mode session
+  /// explored, carried back for the PriorStore feed.
+  struct PriorObservation {
+    core::EnvironmentKey env;
+    std::vector<double> z;
+    double cost = 0.0;
+  };
+
+  /// A session's roll-up plus the traffic the main thread feeds the
+  /// learners with, in session-id order, at the window head.
+  struct SessionOutput {
+    SessionResult result;
+    std::vector<PriorObservation> observations;   ///< Mode Prior.
+    std::vector<policy::Experience> experiences;  ///< Mode Bandit.
+  };
+
+  /// The session body: simulate `spec` against its epoch's frozen
+  /// artifacts. Pure function of (spec, artifacts) — callable from any
+  /// worker thread. A non-null `deep_dive` trace (run_session_traced)
+  /// overrides the spec-owned sched trace and keeps the session's edge
+  /// stats out of the broker.
+  SessionOutput run_session(const SessionSpec& spec,
+                            const EpochArtifacts& frozen,
+                            des::SchedTrace* deep_dive = nullptr) const;
 
   FleetSpec spec_;
   std::unique_ptr<SharedSolutionPool> pool_;

@@ -488,28 +488,6 @@ TEST(FleetSimulator, StreamingMetricsAreThreadCountInvariant) {
   }
 }
 
-// The session arena is a pure allocation strategy: switching it off must
-// not change a single bit of any session's trajectory.
-TEST(FleetSimulator, ArenaOffMatchesArenaOn) {
-  fleet::FleetSpec on_spec = fast_fleet(16, 2);
-  fleet::FleetSpec off_spec = on_spec;
-  off_spec.use_session_arena = false;
-  const fleet::FleetResult on = fleet::FleetSimulator(on_spec).run();
-  const fleet::FleetResult off = fleet::FleetSimulator(off_spec).run();
-
-  ASSERT_EQ(on.sessions.size(), off.sessions.size());
-  for (std::size_t i = 0; i < on.sessions.size(); ++i) {
-    const fleet::SessionResult& a = on.sessions[i];
-    const fleet::SessionResult& b = off.sessions[i];
-    EXPECT_EQ(a.mean_quality, b.mean_quality) << "session " << i;
-    EXPECT_EQ(a.mean_latency_ratio, b.mean_latency_ratio) << "session " << i;
-    EXPECT_EQ(a.mean_reward, b.mean_reward) << "session " << i;
-    EXPECT_EQ(a.sim_seconds, b.sim_seconds) << "session " << i;
-    EXPECT_EQ(a.activations, b.activations) << "session " << i;
-    EXPECT_EQ(a.periods, b.periods) << "session " << i;
-  }
-}
-
 // progress_every fires on the main thread at exact completion multiples,
 // in order, with a monotone wall clock.
 TEST(FleetSimulator, ProgressCallbackFiresAtConfiguredInterval) {

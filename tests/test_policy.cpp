@@ -598,6 +598,41 @@ TEST(FleetPolicy, PriorModeIsThreadCountInvariantAndInjectsPriors) {
     EXPECT_EQ(serial.sessions[i].prior_activations, 0u);
 }
 
+// An epoch larger than the fleet's in-flight window (max(8 * threads, 64))
+// feeds the store mid-epoch while the epoch's sessions still read the
+// snapshot frozen at its start. On 1 thread (window 64) an 80-session
+// epoch is fed mid-epoch; on 16 threads (window 128) it is fed only at the
+// barrier. Both must produce the same fleet.
+TEST(FleetPolicy, EpochLargerThanWindowMatchesFullBarrier) {
+  auto big_epoch_fleet = [](std::size_t threads) {
+    fleet::FleetSpec spec = prior_fleet(160, threads);
+    spec.policy.epoch_sessions = 80;
+    return spec;
+  };
+  fleet::FleetResult fed_mid_epoch =
+      fleet::FleetSimulator(big_epoch_fleet(1)).run();
+  fleet::FleetResult fed_at_barrier =
+      fleet::FleetSimulator(big_epoch_fleet(16)).run();
+
+  ASSERT_EQ(fed_mid_epoch.sessions.size(), fed_at_barrier.sessions.size());
+  for (std::size_t i = 0; i < fed_mid_epoch.sessions.size(); ++i) {
+    const fleet::SessionResult& a = fed_mid_epoch.sessions[i];
+    const fleet::SessionResult& b = fed_at_barrier.sessions[i];
+    EXPECT_EQ(a.mean_reward, b.mean_reward) << "session " << i;
+    EXPECT_EQ(a.mean_quality, b.mean_quality) << "session " << i;
+    EXPECT_EQ(a.activations, b.activations) << "session " << i;
+    EXPECT_EQ(a.prior_activations, b.prior_activations) << "session " << i;
+  }
+  const fleet::FleetMetrics::PolicyHealth& pa = fed_mid_epoch.metrics.policy;
+  const fleet::FleetMetrics::PolicyHealth& pb = fed_at_barrier.metrics.policy;
+  EXPECT_EQ(pa.epochs, 2u);
+  EXPECT_EQ(pa.epochs, pb.epochs);
+  EXPECT_EQ(pa.store_observations, pb.store_observations);
+  EXPECT_EQ(pa.priors_fitted, pb.priors_fitted);
+  // The second epoch read priors learned from the whole first epoch.
+  EXPECT_GT(pa.prior_activations, 0u);
+}
+
 TEST(FleetPolicy, BanditModeIsThreadCountInvariantAndLearns) {
   auto bandit_fleet = [](std::size_t threads) {
     fleet::FleetSpec spec = fast_fleet(16, threads);

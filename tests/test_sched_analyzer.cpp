@@ -5,7 +5,9 @@
 // result, and the fleet SchedHealth roll-up is thread-count invariant.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -445,6 +447,69 @@ TEST(FleetSched, RunSessionTracedReproducesTheFleetTrajectory) {
             fleet_run.sched_worst_p99_slowdown);
   EXPECT_EQ(an.health().fairness_floor, fleet_run.sched_fairness_floor);
   EXPECT_EQ(an.health().starved_jobs, fleet_run.sched_starved_jobs);
+}
+
+// A learner-driven session ran against its epoch's frozen priors, bandit
+// model or market allocation; a lone re-run would silently diverge, so
+// the deep-dive refuses every such fleet up front.
+TEST(FleetSched, RunSessionTracedRejectsFleetsWithALearner) {
+  fleet::FleetSpec prior = fast_fleet(4, 1);
+  prior.policy.mode = fleet::PolicyMode::Prior;
+  fleet::FleetSpec bandit = fast_fleet(4, 1);
+  bandit.policy.mode = fleet::PolicyMode::Bandit;
+  fleet::FleetSpec market = fast_fleet(4, 1);
+  market.use_edge_service = true;
+  market.edge = edgesvc::edge_service_preset("wifi");
+  market.market.enabled = true;
+  for (const fleet::FleetSpec& spec : {prior, bandit, market}) {
+    fleet::FleetSimulator sim(spec);
+    des::SchedTrace trace(spec.sched);
+    EXPECT_THROW(sim.run_session_traced(sim.session_spec(0), trace), Error);
+  }
+}
+
+// The deep-dive re-run is diagnostic only: it must not count its edge
+// traffic into the broker a second time.
+TEST(FleetSched, RunSessionTracedLeavesBrokerStatsUntouched) {
+  fleet::FleetSpec spec = fast_fleet(4, 2);
+  spec.use_edge_service = true;
+  spec.edge = edgesvc::edge_service_preset("wifi");
+  fleet::FleetSimulator sim(spec);
+  const fleet::FleetResult result = sim.run();
+  const edgesvc::EdgeFleetStats before = sim.edge_broker()->stats();
+  ASSERT_EQ(before.clients_absorbed, 4u);
+  ASSERT_GT(before.client.requests, 0u);
+
+  des::SchedTrace trace(spec.sched);
+  const fleet::SessionResult redo =
+      sim.run_session_traced(sim.session_spec(1), trace);
+  EXPECT_EQ(redo.edge_requests, result.sessions[1].edge_requests);
+  EXPECT_EQ(redo.mean_reward, result.sessions[1].mean_reward);
+
+  const edgesvc::EdgeFleetStats after = sim.edge_broker()->stats();
+  EXPECT_EQ(after.clients_absorbed, before.clients_absorbed);
+  EXPECT_EQ(after.client.requests, before.client.requests);
+  EXPECT_EQ(after.client.total_elapsed_s, before.client.total_elapsed_s);
+  EXPECT_EQ(after.server.arrivals, before.server.arrivals);
+}
+
+// `fleet_demo --sched` re-runs its worst session, which a learner fleet
+// cannot reproduce: the demo rejects the combination before running.
+TEST(FleetSched, FleetDemoRejectsSchedWithALearner) {
+  for (const char* flags : {"--sched --policy prior", "--sched --policy bandit",
+                            "--market --sched"}) {
+    const std::string cmd =
+        std::string(HBOSIM_FLEET_DEMO) + " " + flags + " 2>&1";
+    FILE* pipe = popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string output;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr) output += buf;
+    const int status = pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << flags;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << flags;
+    EXPECT_NE(output.find("--sched"), std::string::npos) << output;
+  }
 }
 
 }  // namespace
