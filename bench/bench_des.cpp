@@ -13,12 +13,9 @@
 //   - throughput stays above very generous floors (a regression that
 //     trips these is catastrophic, not noise).
 //
-// Usage: bench_des [--smoke] [--json <path>]
-//   --smoke   smaller job counts (CI)
-//   --json    write a machine-readable summary (default: BENCH_des.json)
+// Usage: see kUsage below, or run `bench_des --help`.
 
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -210,16 +207,19 @@ bool closed_form_gates(std::string& detail) {
   return true;
 }
 
+constexpr const char* kUsage =
+    "usage: bench_des [--smoke] [--json <path>]\n"
+    "  --smoke   smaller job counts (CI)\n"
+    "  --json    write a machine-readable summary (default: BENCH_des.json)\n";
+
+constexpr benchutil::Cli kCli{"bench_des", kUsage, "BENCH_des.json"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_des.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
+  const benchutil::Args args = benchutil::parse_args(kCli, argc, argv);
+  const bool smoke = args.smoke;
+  const std::string& json_path = args.json_path;
 
   benchutil::banner("bench_des",
                     "DES event throughput + scheduler-forensics overhead");

@@ -8,13 +8,10 @@
 // deployment (Fig. 3); this bench characterizes the multi-tenant regime
 // the hbosim::edgesvc subsystem adds.
 //
-// Usage: bench_edgesvc [--smoke] [--json <path>]
-//   --smoke   fewer tenants and requests (CI)
-//   --json    write a machine-readable summary (default: BENCH_edgesvc.json)
+// Usage: see kUsage below, or run `bench_edgesvc --help`.
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -90,16 +87,19 @@ CellResult run_cell(std::size_t tenants, QueuePolicy policy,
   return out;
 }
 
+constexpr const char* kUsage =
+    "usage: bench_edgesvc [--smoke] [--json <path>]\n"
+    "  --smoke   fewer tenants and requests (CI)\n"
+    "  --json    write a machine-readable summary (default: BENCH_edgesvc.json)\n";
+
+constexpr benchutil::Cli kCli{"bench_edgesvc", kUsage, "BENCH_edgesvc.json"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_edgesvc.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
+  const benchutil::Args args = benchutil::parse_args(kCli, argc, argv);
+  const bool smoke = args.smoke;
+  const std::string& json_path = args.json_path;
 
   benchutil::banner("bench_edgesvc",
                     "multi-tenant edge-server saturation sweep");

@@ -29,7 +29,6 @@
 #include <iostream>
 #include <iterator>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -105,27 +104,25 @@ constexpr const char* kUsage =
     "  sessions  fleet size, a whole number >= 1\n"
     "  duration_s  simulated seconds per session, a number > 0\n";
 
-[[noreturn]] void usage_error(const std::string& msg) {
-  std::cerr << "bench_fleet: " << msg << "\n" << kUsage;
-  std::exit(2);
-}
+constexpr benchutil::Cli kCli{"bench_fleet", kUsage, "BENCH_fleet.json",
+                              /*gate=*/true, /*max_positional=*/2};
 
-std::size_t parse_sessions(const char* text) {
-  const std::string_view sv = text;
+std::size_t parse_sessions(const std::string& text) {
   std::size_t v = 0;
-  const auto [end, ec] = std::from_chars(sv.data(), sv.data() + sv.size(), v);
-  if (ec != std::errc() || end != sv.data() + sv.size() || v < 1)
-    usage_error("sessions must be a whole number >= 1, got '" +
-                std::string(sv) + "'");
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc() || end != last || v < 1)
+    benchutil::usage_error(kCli, "sessions must be a whole number >= 1, got '" +
+                                     text + "'");
   return v;
 }
 
-double parse_duration(const char* text) {
+double parse_duration(const std::string& text) {
   char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0.0)
-    usage_error("duration_s must be a number > 0, got '" + std::string(text) +
-                "'");
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(v) || v <= 0.0)
+    benchutil::usage_error(kCli, "duration_s must be a number > 0, got '" +
+                                     text + "'");
   return v;
 }
 
@@ -134,27 +131,11 @@ double parse_duration(const char* text) {
 int main(int argc, char** argv) {
   using namespace hbosim;
 
-  bool smoke = false;
-  std::string json_path = "BENCH_fleet.json";
-  std::string gate_path;
-  std::vector<const char*> positional;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::cout << kUsage;
-      return 0;
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--json" || arg == "--gate") {
-      if (i + 1 >= argc) usage_error(std::string(arg) + " needs a value");
-      (arg == "--json" ? json_path : gate_path) = argv[++i];
-    } else if (arg.size() > 1 && arg[0] == '-') {
-      usage_error("unknown option '" + std::string(arg) + "'");
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.size() > 2) usage_error("too many positional arguments");
+  const benchutil::Args args = benchutil::parse_args(kCli, argc, argv);
+  const bool smoke = args.smoke;
+  const std::string& json_path = args.json_path;
+  const std::string& gate_path = args.gate_path;
+  const std::vector<std::string>& positional = args.positional;
   const std::size_t sessions =
       positional.size() > 0 ? parse_sessions(positional[0])
                             : (smoke ? 64 : 256);

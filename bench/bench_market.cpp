@@ -27,14 +27,11 @@
 // The headline gate compares market-pf against static-trim at equal mean
 // quality; the table feeds EXPERIMENTS.md.
 //
-// Usage: bench_market [--smoke] [--json <path>]
-//   --smoke   10^3-tenant sweep only (CI); full mode adds 10^4
-//   --json    write a machine-readable summary (default: BENCH_market.json)
+// Usage: see kUsage below, or run `bench_market --help`.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -158,16 +155,19 @@ bool sessions_bitwise_equal(const fleet::FleetResult& a,
          a.metrics.edge.requests == b.metrics.edge.requests;
 }
 
+constexpr const char* kUsage =
+    "usage: bench_market [--smoke] [--json <path>]\n"
+    "  --smoke   10^3-tenant sweep only (CI); full mode adds 10^4\n"
+    "  --json    write a machine-readable summary (default: BENCH_market.json)\n";
+
+constexpr benchutil::Cli kCli{"bench_market", kUsage, "BENCH_market.json"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_market.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
+  const benchutil::Args args = benchutil::parse_args(kCli, argc, argv);
+  const bool smoke = args.smoke;
+  const std::string& json_path = args.json_path;
 
   benchutil::banner("bench_market",
                     "joint allocator vs static mirror at saturation");

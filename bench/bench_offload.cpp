@@ -21,12 +21,9 @@
 //    lose — some 4-target point weakly dominates the best on-device-only
 //    point on (hours-of-AR-per-charge, QoE).
 //
-// Usage: bench_offload [--smoke] [--json <path>]
-//   --smoke   fewer sessions / shorter horizon / single w_energy (CI)
-//   --json    machine-readable summary (default: BENCH_offload.json)
+// Usage: see kUsage below, or run `bench_offload --help`.
 
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -132,16 +129,19 @@ bool sessions_identical(const fleet::FleetResult& a,
   return true;
 }
 
+constexpr const char* kUsage =
+    "usage: bench_offload [--smoke] [--json <path>]\n"
+    "  --smoke   fewer sessions / shorter horizon / single w_energy (CI)\n"
+    "  --json    machine-readable summary (default: BENCH_offload.json)\n";
+
+constexpr benchutil::Cli kCli{"bench_offload", kUsage, "BENCH_offload.json"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_offload.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
+  const benchutil::Args args = benchutil::parse_args(kCli, argc, argv);
+  const bool smoke = args.smoke;
+  const std::string& json_path = args.json_path;
 
   benchutil::banner("bench_offload",
                     "hours-of-AR-per-charge vs QoE, 3- vs 4-target simplex");

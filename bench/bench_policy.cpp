@@ -18,13 +18,10 @@
 // characterizes the hbosim::policy extensions (fleet-learned priors and
 // the contextual-bandit baseline) against that HBO core.
 //
-// Usage: bench_policy [--smoke] [--json <path>]
-//   --smoke   fewer train/eval seeds (CI)
-//   --json    write a machine-readable summary (default: BENCH_policy.json)
+// Usage: see kUsage below, or run `bench_policy --help`.
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -260,16 +257,19 @@ AdaptResult run_bandit_arm(std::uint64_t seed) {
                          session.experiences().size());
 }
 
+constexpr const char* kUsage =
+    "usage: bench_policy [--smoke] [--json <path>]\n"
+    "  --smoke   fewer train/eval seeds (CI)\n"
+    "  --json    write a machine-readable summary (default: BENCH_policy.json)\n";
+
+constexpr benchutil::Cli kCli{"bench_policy", kUsage, "BENCH_policy.json"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_policy.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
+  const benchutil::Args args = benchutil::parse_args(kCli, argc, argv);
+  const bool smoke = args.smoke;
+  const std::string& json_path = args.json_path;
 
   benchutil::banner("bench_policy",
                     "learned warm-start priors and the LinUCB agent vs HBO");

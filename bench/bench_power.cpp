@@ -10,12 +10,9 @@
 // the explicit battery/thermal/DVFS model the hbosim::power subsystem
 // adds, and feeds the EXPERIMENTS.md throttling table.
 //
-// Usage: bench_power [--smoke] [--json <path>]
-//   --smoke   shorter soak horizon (CI)
-//   --json    write a machine-readable summary (default: BENCH_power.json)
+// Usage: see kUsage below, or run `bench_power --help`.
 
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -105,16 +102,19 @@ CellResult run_cell(const std::string& device_name, const LoadPoint& load,
   return out;
 }
 
+constexpr const char* kUsage =
+    "usage: bench_power [--smoke] [--json <path>]\n"
+    "  --smoke   shorter soak horizon (CI)\n"
+    "  --json    write a machine-readable summary (default: BENCH_power.json)\n";
+
+constexpr benchutil::Cli kCli{"bench_power", kUsage, "BENCH_power.json"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_power.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
+  const benchutil::Args args = benchutil::parse_args(kCli, argc, argv);
+  const bool smoke = args.smoke;
+  const std::string& json_path = args.json_path;
 
   benchutil::banner("bench_power",
                     "sustained load x device thermal-throttling sweep");

@@ -9,12 +9,9 @@
 // real event recording (~20% wall on the densest micro-runs; far less on
 // BO-heavy workloads) — that price is only paid when profiling.
 //
-// Usage: bench_telemetry [--smoke] [--json <path>]
-//   --smoke   shorter repetitions (CI)
-//   --json    write a machine-readable summary (default: BENCH_telemetry.json)
+// Usage: see kUsage below, or run `bench_telemetry --help`.
 
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -69,18 +66,21 @@ double fleet_wall_seconds(std::size_t sessions) {
   return seconds_since(t0);
 }
 
+constexpr const char* kUsage =
+    "usage: bench_telemetry [--smoke] [--json <path>]\n"
+    "  --smoke   shorter repetitions (CI)\n"
+    "  --json    write a machine-readable summary (default: BENCH_telemetry.json)\n";
+
+constexpr benchutil::Cli kCli{"bench_telemetry", kUsage, "BENCH_telemetry.json"};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace hbosim;
 
-  bool smoke = false;
-  std::string json_path = "BENCH_telemetry.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-  }
+  const benchutil::Args args = benchutil::parse_args(kCli, argc, argv);
+  const bool smoke = args.smoke;
+  const std::string& json_path = args.json_path;
 
   benchutil::banner("bench_telemetry",
                     "instrumentation cost, tracing off and on");

@@ -1,14 +1,65 @@
 #pragma once
 
+#include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <vector>
 
-/// Shared pretty-printing for the reproduction harnesses. Each bench
-/// prints the paper artefact it regenerates, the measured series/rows,
-/// and a PAPER vs MEASURED recap so EXPERIMENTS.md can be cross-checked
-/// directly against bench output.
+/// Shared command line and pretty-printing for the reproduction harnesses.
+/// Each bench prints the paper artefact it regenerates, the measured
+/// series/rows, and a PAPER vs MEASURED recap so EXPERIMENTS.md can be
+/// cross-checked directly against bench output.
 
 namespace benchutil {
+
+/// The command line of a bench that takes `--smoke` and `--json <path>`.
+struct Cli {
+  const char* name;          ///< Program name, prefixed to error messages.
+  const char* usage;         ///< Printed by --help and after every error.
+  const char* default_json;  ///< --json value when the flag is absent.
+  bool gate = false;         ///< Also accept `--gate <path>`.
+  std::size_t max_positional = 0;
+};
+
+struct Args {
+  bool smoke = false;
+  std::string json_path;
+  std::string gate_path;  ///< Empty unless --gate was given.
+  std::vector<std::string> positional;
+};
+
+[[noreturn]] inline void usage_error(const Cli& cli, const std::string& msg) {
+  std::cerr << cli.name << ": " << msg << "\n" << cli.usage;
+  std::exit(2);
+}
+
+/// Parses --smoke, --json <path>, --help/-h (usage to stdout, exit 0), and
+/// what `cli` allows beyond them. An unknown option, a flag missing its
+/// value or a surplus positional argument prints the usage and exits 2.
+inline Args parse_args(const Cli& cli, int argc, char** argv) {
+  Args args;
+  args.json_path = cli.default_json;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::cout << cli.usage;
+      std::exit(0);
+    } else if (arg == "--smoke") {
+      args.smoke = true;
+    } else if (arg == "--json" || (cli.gate && arg == "--gate")) {
+      if (i + 1 >= argc) usage_error(cli, std::string(arg) + " needs a value");
+      (arg == "--json" ? args.json_path : args.gate_path) = argv[++i];
+    } else if (arg.size() > 1 && arg[0] == '-') {
+      usage_error(cli, "unknown option '" + std::string(arg) + "'");
+    } else if (args.positional.size() < cli.max_positional) {
+      args.positional.emplace_back(arg);
+    } else {
+      usage_error(cli, "unexpected argument '" + std::string(arg) + "'");
+    }
+  }
+  return args;
+}
 
 inline void banner(const std::string& artefact, const std::string& what) {
   std::cout << "\n================================================================\n"

@@ -95,29 +95,6 @@ void GaussianProcess::set_targets(std::span<const double> y) {
   chol_->solve(y_centered_, alpha_);
 }
 
-void GaussianProcess::incremental_fit(std::span<const double> z,
-                                      std::span<const double> y) {
-  if (!fitted()) {
-    const std::vector<std::vector<double>> x1 = {{z.begin(), z.end()}};
-    const std::vector<double> y1(y.begin(), y.end());
-    fit(x1, y1);
-    return;
-  }
-  dist_scratch_.resize(x_.size());
-  for (std::size_t i = 0; i < x_.size(); ++i)
-    dist_scratch_[i] = euclidean_distance(z, x_[i]);
-  incremental_fit(z, y, dist_scratch_);
-}
-
-void GaussianProcess::incremental_fit(std::span<const double> z,
-                                      std::span<const double> y,
-                                      std::span<const double> dist_row) {
-  HB_REQUIRE(y.size() == x_.size() + 1,
-             "GP incremental_fit: y must cover all observations");
-  append_point(z, dist_row);
-  set_targets(y);
-}
-
 std::vector<double> GaussianProcess::kernel_row(
     std::span<const double> z) const {
   std::vector<double> k(x_.size());
@@ -141,28 +118,6 @@ GaussianProcess::Prediction GaussianProcess::predict(
   double reduction = 0.0;
   for (double vi : v) reduction += vi * vi;
   out.variance = std::max((*kernel_)(z, z) - reduction, 0.0);
-  return out;
-}
-
-GaussianProcess::Prediction GaussianProcess::predict(
-    std::span<const double> z, PredictScratch& scratch) const {
-  HB_REQUIRE(fitted(), "GP predict before fit");
-  HB_REQUIRE(z.size() == x_.front().size(), "GP predict: dimension mismatch");
-  const std::size_t n = x_.size();
-  scratch.buf.resize(n);
-  double* k = scratch.buf.data();
-  for (std::size_t i = 0; i < n; ++i)
-    k[i] = kernel_->from_distance(euclidean_distance(z, x_[i]));
-
-  Prediction out;
-  out.mean = y_mean_;
-  for (std::size_t i = 0; i < n; ++i) out.mean += k[i] * alpha_[i];
-
-  // In-place forward substitution; the same buffer then holds L^-1 k*.
-  chol_->solve_lower(scratch.buf, scratch.buf);
-  double reduction = 0.0;
-  for (std::size_t i = 0; i < n; ++i) reduction += k[i] * k[i];
-  out.variance = std::max(kernel_->from_distance(0.0) - reduction, 0.0);
   return out;
 }
 

@@ -23,9 +23,7 @@
 ///   - set_targets(): re-center and re-solve for new y values against the
 ///     existing factor (the factor depends only on X, so per-suggest cost
 ///     re-standardization never forces a refactorization);
-///   - incremental_fit() = append_point() + set_targets();
-///   - predict() with a caller-owned scratch buffer and the batched
-///     predict_many(), both allocation-free at steady state.
+///   - the batched predict_many(), allocation-free at steady state.
 
 namespace hbosim::bo {
 
@@ -71,15 +69,6 @@ class GaussianProcess {
   /// factor depends only on X.
   void set_targets(std::span<const double> y);
 
-  /// Incremental refit with one new observation: append_point(z, ...) +
-  /// set_targets(y), where y holds the targets for all n+1 points.
-  /// Computes the new point's distances itself (O(n d)); the overload
-  /// takes them precomputed. Falls back to a full fit when the GP is
-  /// empty. Posterior and likelihood match a from-scratch fit exactly.
-  void incremental_fit(std::span<const double> z, std::span<const double> y);
-  void incremental_fit(std::span<const double> z, std::span<const double> y,
-                       std::span<const double> dist_row);
-
   bool fitted() const { return !x_.empty(); }
   std::size_t observation_count() const { return x_.size(); }
 
@@ -90,16 +79,6 @@ class GaussianProcess {
 
   /// Posterior at a query point (Eq. 6). Requires fitted().
   Prediction predict(std::span<const double> z) const;
-
-  /// Reusable workspace for the allocation-free predict overload.
-  struct PredictScratch {
-    std::vector<double> buf;
-  };
-
-  /// Same posterior as predict(z), but all intermediates live in the
-  /// caller-owned scratch: zero heap allocations once scratch capacity
-  /// has warmed up to the current observation count.
-  Prediction predict(std::span<const double> z, PredictScratch& scratch) const;
 
   /// Reusable workspace for predict_many (sized internally in blocks, so
   /// steady-state calls never allocate).
@@ -137,7 +116,6 @@ class GaussianProcess {
   std::unique_ptr<Cholesky> chol_;
   std::vector<double> alpha_;  // K^-1 (y - mean)
   std::vector<double> krow_scratch_;  // append_point kernel-row buffer
-  std::vector<double> dist_scratch_;  // incremental_fit distance buffer
 };
 
 }  // namespace hbosim::bo

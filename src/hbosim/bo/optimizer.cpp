@@ -107,85 +107,7 @@ std::vector<double> BayesianOptimizer::suggest(Rng& rng) {
     for (auto& v : y) v = (v - m) / scale;
   }
 
-  return cfg_.incremental_gp ? suggest_incremental(rng, y, scale)
-                             : suggest_full_refit(rng, y, scale);
-}
-
-/// The original suggestion path: refit every length-scale candidate from
-/// scratch, score acquisition candidates one predict() at a time. Kept
-/// verbatim as the reference the incremental path is validated (and
-/// benchmarked) against.
-std::vector<double> BayesianOptimizer::suggest_full_refit(
-    Rng& rng, const std::vector<double>& y, double scale) {
-  std::vector<std::vector<double>> x;
-  x.reserve(data_.size());
-  for (const auto& obs : data_) x.push_back(obs.z);
-
-  // Hyperparameter refit (see BoConfig::length_scale_grid): keep the
-  // length scale that explains the standardized costs best.
-  const std::vector<double> grid = length_scale_grid();
-  std::unique_ptr<GaussianProcess> best_gp;
-  {
-    HB_TRACE_SCOPE("bo", "bo.fit");
-    double best_lml = -std::numeric_limits<double>::infinity();
-    for (double factor : grid) {
-      auto gp_candidate = std::make_unique<GaussianProcess>(
-          make_kernel(cfg_.length_scale * factor), cfg_.gp);
-      gp_candidate->fit(x, y);
-      const double lml = gp_candidate->log_marginal_likelihood();
-      if (lml > best_lml) {
-        best_lml = lml;
-        best_gp = std::move(gp_candidate);
-      }
-    }
-  }
-  GaussianProcess& gp = *best_gp;
-
-  // With a prior the GP's posterior is over standardized *residuals*; add
-  // each point's (standardized) prior mean back so acquisition compares
-  // total predicted costs, observed incumbent included. Constant offsets
-  // cancel inside EI, so only the z-dependent part matters.
-  const bool has_prior = cfg_.prior != nullptr;
-  double best_y;
-  if (has_prior) {
-    best_y = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < y.size(); ++i)
-      best_y = std::min(best_y, y[i] + prior_mean_obs_[i] / scale);
-  } else {
-    best_y = *std::min_element(y.begin(), y.end());
-  }
-  const std::vector<double>& incumbent = best().z;
-
-  std::vector<double> best_candidate;
-  double best_score = -std::numeric_limits<double>::infinity();
-  auto consider = [&](std::vector<double> z) {
-    const auto pred = gp.predict(z);
-    const double mu =
-        has_prior ? pred.mean + cfg_.prior->mean(z) / scale : pred.mean;
-    const double score =
-        acquisition_score(cfg_.acquisition, mu, std::sqrt(pred.variance),
-                          best_y, cfg_.acq_params);
-    if (score > best_score) {
-      best_score = score;
-      best_candidate = std::move(z);
-    }
-  };
-
-  {
-    // Candidate generation and acquisition scoring are interleaved in this
-    // path (one predict per consider), so one span covers both.
-    HB_TRACE_SCOPE("bo", "bo.score");
-    for (int i = 0; i < cfg_.n_random_candidates; ++i)
-      consider(space_.sample(rng));
-    for (int i = 0; i < cfg_.n_local_candidates; ++i) {
-      const double scale =
-          (i % 2 == 0) ? cfg_.local_scale : cfg_.local_scale_coarse;
-      consider(space_.perturb(incumbent, scale, rng));
-    }
-  }
-
-  HB_ASSERT(!best_candidate.empty(), "no acquisition candidate evaluated");
-  return best_candidate;
+  return acquire(rng, y, scale);
 }
 
 void BayesianOptimizer::sync_grid_gps(const std::vector<double>& y) {
@@ -218,16 +140,17 @@ void BayesianOptimizer::sync_grid_gps(const std::vector<double>& y) {
   for (auto& g : grid_gps_) g.gp.set_targets(y);
 }
 
-std::vector<double> BayesianOptimizer::suggest_incremental(
-    Rng& rng, const std::vector<double>& y, double scale) {
+std::vector<double> BayesianOptimizer::acquire(Rng& rng,
+                                               const std::vector<double>& y,
+                                               double scale) {
   GaussianProcess* gp = nullptr;
   {
     HB_TRACE_SCOPE("bo", "bo.fit");
     sync_grid_gps(y);
 
-    // Same length-scale selection rule as the full-refit path (first
-    // strictly greater wins, grid order): the factors are identical, so
-    // the marginal likelihoods — and the winner — are too.
+    // Hyperparameter refit (see BoConfig::length_scale_grid): keep the
+    // length scale that explains the standardized costs best, first
+    // strictly greater in grid order.
     double best_lml = -std::numeric_limits<double>::infinity();
     for (auto& g : grid_gps_) {
       const double lml = g.gp.log_marginal_likelihood();
@@ -239,8 +162,10 @@ std::vector<double> BayesianOptimizer::suggest_incremental(
   }
   HB_ASSERT(gp != nullptr, "no grid surrogate available");
 
-  // Same prior-mean adjustment as the full-refit path (see the comment
-  // there): acquisition compares total predicted costs.
+  // With a prior the GP's posterior is over standardized *residuals*; add
+  // each point's (standardized) prior mean back so acquisition compares
+  // total predicted costs, observed incumbent included. Constant offsets
+  // cancel inside EI, so only the z-dependent part matters.
   const bool has_prior = cfg_.prior != nullptr;
   double best_y;
   if (has_prior) {
@@ -252,8 +177,9 @@ std::vector<double> BayesianOptimizer::suggest_incremental(
   }
   const std::vector<double>& incumbent = best().z;
 
-  // Generate the candidate set with the exact RNG call sequence of the
-  // full-refit path, packed flat for the batched predict.
+  // Generate the candidate set (uniform samples, then perturbations of the
+  // incumbent alternating fine and coarse scales), packed flat for the
+  // batched predict.
   const std::size_t dim = space_.dim();
   const std::size_t total = static_cast<std::size_t>(cfg_.n_random_candidates) +
                             static_cast<std::size_t>(cfg_.n_local_candidates);
@@ -281,8 +207,7 @@ std::vector<double> BayesianOptimizer::suggest_incremental(
     if (has_prior) {
       best_idx = prior_argmax(best_y, scale, total);
     } else {
-      // First-strictly-greater argmax in generation order, matching the
-      // full-refit path's incremental `consider` rule.
+      // First-strictly-greater argmax in generation order.
       double best_score = -std::numeric_limits<double>::infinity();
       for (std::size_t c = 0; c < total; ++c) {
         const double score = acquisition_score(
@@ -387,24 +312,22 @@ void BayesianOptimizer::tell(std::vector<double> z, double cost) {
   if (cfg_.prior) prior_mean_obs_.push_back(cfg_.prior->mean(z));
 
   const std::size_t n = data_.size();
-  if (cfg_.incremental_gp) {
-    // Extend the cached distance matrix by the new point's row/column.
-    // Every kernel is stationary, so this one matrix serves the Gram of
-    // every length-scale candidate for the lifetime of the run.
-    dist_.conservative_resize(n + 1, n + 1);
-    std::span<double> dn = dist_.row(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = euclidean_distance(z, data_[i].z);
-      dn[i] = d;
-      dist_(i, n) = d;
-    }
-    dn[n] = 0.0;
-
-    // Grow each live surrogate's Cholesky factor in place (O(n^2) per
-    // grid entry). Targets are stale until the next suggest() calls
-    // set_targets() with freshly standardized costs.
-    for (auto& g : grid_gps_) g.gp.append_point(z, dn.first(n));
+  // Extend the cached distance matrix by the new point's row/column.
+  // Every kernel is stationary, so this one matrix serves the Gram of
+  // every length-scale candidate for the lifetime of the run.
+  dist_.conservative_resize(n + 1, n + 1);
+  std::span<double> dn = dist_.row(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = euclidean_distance(z, data_[i].z);
+    dn[i] = d;
+    dist_(i, n) = d;
   }
+  dn[n] = 0.0;
+
+  // Grow each live surrogate's Cholesky factor in place (O(n^2) per
+  // grid entry). Targets are stale until the next suggest() calls
+  // set_targets() with freshly standardized costs.
+  for (auto& g : grid_gps_) g.gp.append_point(z, dn.first(n));
 
   // Incumbent maintenance (best() is O(1)): strict `<` keeps the earliest
   // minimum, matching what a front-to-back rescan would select.

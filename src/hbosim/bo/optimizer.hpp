@@ -18,15 +18,16 @@
 /// approach on a constrained domain, which is also how skopt's categorical/
 /// constrained spaces are handled).
 ///
-/// The surrogate update is incremental by default: the optimizer caches
-/// the pairwise distance matrix of its observations (every kernel is
-/// stationary, so each length-scale candidate's Gram matrix derives from
-/// the same distances), keeps one GP per length-scale grid entry alive
-/// across calls, grows each GP's Cholesky factor by a rank-1 bordered
-/// update per tell(), and scores acquisition candidates through the
-/// batched allocation-free predict_many() path. tell() is O(n^2) and
-/// suggest() drops the per-call O(G n^3) refit entirely; suggestions are
-/// unchanged (see BoConfig::incremental_gp).
+/// The surrogate update is incremental: the optimizer caches the pairwise
+/// distance matrix of its observations (every kernel is stationary, so
+/// each length-scale candidate's Gram matrix derives from the same
+/// distances), keeps one GP per length-scale grid entry alive across
+/// calls, grows each GP's Cholesky factor by a rank-1 bordered update per
+/// tell(), and scores acquisition candidates through the batched
+/// allocation-free predict_many() path. tell() is O(n^2) and suggest()
+/// has no per-call O(G n^3) refit. The tests and bench_bo check the
+/// suggestions against a from-scratch refit of every grid GP per suggest
+/// (tests/support/full_refit_oracle.hpp).
 
 namespace hbosim::bo {
 
@@ -72,14 +73,6 @@ struct BoConfig {
   /// the fixed sigma_f meaningful across scenarios.
   bool standardize = true;
 
-  /// Maintain the surrogates incrementally (cached distance matrix, one
-  /// persistent GP per length-scale grid entry, rank-1 Cholesky growth
-  /// per tell, batched candidate scoring). Same suggestions as the
-  /// from-scratch path on the same seed; set false to force the original
-  /// full-refit-per-suggest behaviour, kept as the reference baseline
-  /// for the equivalence tests and bench_bo.
-  bool incremental_gp = true;
-
   /// Learned warm-start prior (see bo/prior.hpp). When set, the GP models
   /// the residual cost - prior->mean(z), acquisition scores add the prior
   /// mean back per candidate (batched through prior->mean_many(), with
@@ -102,9 +95,9 @@ class BayesianOptimizer {
   /// initialization phase, else the acquisition maximizer.
   std::vector<double> suggest(Rng& rng);
 
-  /// Record the observed cost of a configuration. With incremental_gp
-  /// this also extends the cached distance matrix (O(n d)) and grows each
-  /// live surrogate's Cholesky factor in place (O(n^2) bordered update),
+  /// Record the observed cost of a configuration. This also extends the
+  /// cached distance matrix (O(n d)) and grows each live surrogate's
+  /// Cholesky factor in place (O(n^2) bordered update),
   /// so the next suggest() only has to re-solve for the restandardized
   /// targets instead of refactorizing.
   void tell(std::vector<double> z, double cost);
@@ -127,15 +120,13 @@ class BayesianOptimizer {
  private:
   std::unique_ptr<Kernel> make_kernel(double length_scale) const;
   std::vector<double> length_scale_grid() const;
-  /// `scale` is the standardization divisor applied to the (residual)
-  /// targets: candidate prior means are divided by it so acquisition
+  /// The model phase of suggest(): refit the length scale, generate the
+  /// candidates and return the acquisition maximizer. `y` holds the
+  /// standardized (residual) targets and `scale` their standardization
+  /// divisor: candidate prior means are divided by it so acquisition
   /// compares posterior and incumbent in the same standardized units.
-  std::vector<double> suggest_full_refit(Rng& rng,
-                                         const std::vector<double>& y,
-                                         double scale);
-  std::vector<double> suggest_incremental(Rng& rng,
-                                          const std::vector<double>& y,
-                                          double scale);
+  std::vector<double> acquire(Rng& rng, const std::vector<double>& y,
+                              double scale);
   /// Acquisition argmax over the scored candidates (cand_flat_, preds_)
   /// with the prior mean added back: bitwise the candidate that scoring
   /// every one with the exact prior->mean() picks, found by screening with
@@ -157,7 +148,7 @@ class BayesianOptimizer {
   std::vector<std::vector<double>> prior_seeds_;  ///< clipped seed points
   bool prior_seeds_ready_ = false;
 
-  // --- incremental surrogate state (cfg_.incremental_gp) ---
+  // --- incremental surrogate state ---
   std::size_t best_idx_ = 0;  ///< incumbent index into data_
   Matrix dist_;               ///< pairwise observation distances, grown per tell
   struct GridGp {

@@ -8,6 +8,13 @@
 
 namespace hbosim::core {
 
+namespace {
+/// Bytes one RemoteBo exchange with the server-side pool moves, Section
+/// VI's "few Bytes": the observed (z, cost) uplink as packed floats plus
+/// framing (48) and the next-configuration downlink (40).
+constexpr std::uint64_t kRemoteBoPayloadBytes = 48 + 40;
+}  // namespace
+
 MonitoredSession::MonitoredSession(app::MarApp& app,
                                    MonitoredSessionConfig cfg)
     : app_(app),
@@ -72,13 +79,16 @@ void MonitoredSession::activate() {
       // environment (Section VI's "share results across users"). With an
       // edge client attached, reaching the server-side pool costs a real
       // contended exchange that can fail — in which case this activation
-      // runs fully local rather than stalling on a dead link.
+      // runs fully local rather than stalling on a dead link. The
+      // exchange's work is one suggest, priced by the server's
+      // bo_suggest_ms.
       bool store_reachable = true;
       if (edge_ != nullptr) {
-        const std::optional<double> rt =
-            remote_link_.round_trip_via(*edge_, app_.sim().now());
-        if (rt) {
-          app_.sim().run_until(app_.sim().now() + *rt);
+        const edgesvc::EdgeResponse resp =
+            edge_->perform(edgesvc::RequestClass::RemoteBo, 1.0,
+                           kRemoteBoPayloadBytes, app_.sim().now());
+        if (resp.ok) {
+          app_.sim().run_until(app_.sim().now() + resp.elapsed_s);
         } else {
           store_reachable = false;
           ++edge_bo_fallbacks_;

@@ -8,7 +8,7 @@
 #include "hbosim/core/activation.hpp"
 #include "hbosim/core/controller.hpp"
 #include "hbosim/core/lookup_table.hpp"
-#include "hbosim/edge/remote_optimizer.hpp"
+#include "hbosim/edgesvc/edge_client.hpp"
 
 /// \file monitored_session.hpp
 /// The full HBO runtime loop as a reusable component: monitor the reward
@@ -147,7 +147,6 @@ class MonitoredSession {
   SolutionStoreHooks store_;
   PolicyHooks policy_hooks_;
   edgesvc::EdgeClient* edge_ = nullptr;
-  edge::RemoteOptimizerLink remote_link_{};
   std::uint64_t edge_bo_fallbacks_ = 0;
   Ewma smoothed_;
   RunningStat quality_stat_;

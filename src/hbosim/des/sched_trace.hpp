@@ -73,11 +73,6 @@ struct SchedTraceConfig {
   /// default 65536 a 60 s session traces every AI phase with room to
   /// spare; mega-fleet smoke runs can shrink it.
   std::size_t capacity_per_resource = 1u << 16;
-  /// Drop the PsResource depth-counter decimation to 1 (exact counters)
-  /// on traced sessions, so the telemetry depth series lines up with the
-  /// forensics event stream. Only consulted where a trace is attached;
-  /// untraced sessions keep the default 1-in-16 sampling.
-  bool exact_depth_counters = true;
 };
 
 /// Per-resource ring buffers of SchedEvents plus drop accounting.

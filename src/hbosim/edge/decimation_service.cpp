@@ -93,7 +93,7 @@ DecimationResult DecimationService::request(const render::MeshAsset& asset,
       cfg_.bytes_per_triangle * static_cast<double>(out.triangles));
 
   if (edge_ == nullptr) {
-    out.delay_s = server_s + cfg_.network.transfer_seconds(payload);
+    out.delay_s = server_s + link_.nominal_seconds(payload);
     cache_.put(key, out.triangles);
     return out;
   }

@@ -4,8 +4,8 @@
 #include <string>
 
 #include "hbosim/edge/cache.hpp"
-#include "hbosim/edge/network.hpp"
 #include "hbosim/edgesvc/edge_client.hpp"
+#include "hbosim/edgesvc/link_model.hpp"
 #include "hbosim/render/mesh.hpp"
 
 /// \file decimation_service.hpp
@@ -19,8 +19,9 @@
 /// versions per object.
 ///
 /// Two remote paths exist:
-///  - the legacy closed-form NetworkModel (default): fixed delay, always
-///    succeeds;
+///  - the uncontended link (default): the closed-form
+///    edgesvc::LinkModel::nominal_seconds of a default link (20 ms RTT,
+///    120 Mbit/s), a fixed delay that always succeeds;
 ///  - a contended edgesvc::EdgeClient (via attach_edge): the request
 ///    competes with other tenants for the shared edge box over a lossy
 ///    link, and can fail. On failure the device degrades gracefully —
@@ -45,12 +46,11 @@ struct DecimationResult {
   /// device is already displaying (triangles/served_ratio not meaningful).
   bool unchanged = false;
   /// Attempts the edge client spent on this request (0 on cache hit or
-  /// legacy path).
+  /// uncontended path).
   int edge_attempts = 0;
 };
 
 struct DecimationServiceConfig {
-  NetworkModel network;
   std::size_t cache_capacity = 256;
   /// Quantization levels for cacheable ratios (ratio rounded to 1/levels).
   int ratio_levels = 64;
@@ -65,9 +65,9 @@ class DecimationService {
   explicit DecimationService(DecimationServiceConfig cfg = {});
 
   /// Route cache misses through a contended edge service instead of the
-  /// closed-form NetworkModel. `clock` supplies the current simulation
-  /// time (the edge server mirror needs real arrival times to model
-  /// queueing). Pass nullptr to detach and restore the legacy path.
+  /// uncontended link. `clock` supplies the current simulation time (the
+  /// edge server mirror needs real arrival times to model queueing). Pass
+  /// nullptr to detach and restore the uncontended path.
   void attach_edge(edgesvc::EdgeClient* client,
                    std::function<double()> clock);
 
@@ -93,6 +93,8 @@ class DecimationService {
                                       double wanted_ratio) const;
 
   DecimationServiceConfig cfg_;
+  /// The uncontended link a miss downloads over when no edge is attached.
+  const edgesvc::LinkModel link_{};
   LruCache cache_;
   edgesvc::EdgeClient* edge_ = nullptr;
   std::function<double()> clock_;

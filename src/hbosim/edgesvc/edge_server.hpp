@@ -63,7 +63,7 @@ struct EdgeServerSpec {
   /// Per-class service-time models. Decimation and mesh transfers scale
   /// with the request's size in mega-triangles; a BO suggest is flat.
   double decimation_ms_per_mtri = 35.0;  ///< Matches the legacy service.
-  double bo_suggest_ms = 2.0;            ///< Matches RemoteOptimizerConfig.
+  double bo_suggest_ms = 2.0;            ///< One RemoteBo suggest.
   double mesh_ms_per_mtri = 4.0;         ///< Framing/compression cost.
   /// Server milliseconds per device-millisecond of offloaded inference
   /// demand (AiInference `units`). 0.25 models an edge core ~4x faster

@@ -252,12 +252,10 @@ FleetSimulator::SessionOutput FleetSimulator::run_session(
   }
   if (trace != nullptr) {
     app->sim().set_sched_trace(trace);
-    if (trace->config().exact_depth_counters) {
-      // Exact depth counters on traced sessions, so the telemetry depth
-      // series lines up sample-for-sample with the event stream.
-      for (soc::Unit u : {soc::Unit::Cpu, soc::Unit::Gpu, soc::Unit::Npu})
-        app->soc().unit(u).set_trace_decimation(1);
-    }
+    // Exact depth counters on traced sessions, so the telemetry depth
+    // series lines up sample-for-sample with the event stream.
+    for (soc::Unit u : {soc::Unit::Cpu, soc::Unit::Gpu, soc::Unit::Npu})
+      app->soc().unit(u).set_trace_decimation(1);
   }
 
   const marketsvc::TenantAllocation* market =

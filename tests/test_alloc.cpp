@@ -65,26 +65,6 @@ GaussianProcess fitted_gp(std::size_t n) {
   return gp;
 }
 
-TEST(Allocations, ScratchPredictIsAllocationFreeAtSteadyState) {
-  const GaussianProcess gp = fitted_gp(32);
-  GaussianProcess::PredictScratch scratch;
-  hbosim::Rng rng(8);
-  std::vector<double> z(4);
-  for (auto& v : z) v = rng.uniform();
-  (void)gp.predict(z, scratch);  // warm up the scratch capacity
-
-  double sink = 0.0;
-  AllocGuard guard;
-  for (int rep = 0; rep < 200; ++rep) {
-    z[rep % 4] = 0.001 * rep;  // vary the query without allocating
-    const auto p = gp.predict(z, scratch);
-    sink += p.mean + p.variance;
-  }
-  EXPECT_EQ(guard.stop(), 0) << "predict(z, scratch) allocated on the "
-                                "steady-state path";
-  EXPECT_TRUE(std::isfinite(sink));
-}
-
 TEST(Allocations, PredictManyIsAllocationFreeAtSteadyState) {
   const GaussianProcess gp = fitted_gp(32);
   const std::size_t count = 576;  // the default acquisition batch size

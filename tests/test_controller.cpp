@@ -18,7 +18,7 @@ TEST(Cost, EquationsThreeAndFive) {
   app::PeriodMetrics m;
   m.average_quality = 0.8;
   m.latency_ratio = 0.4;
-  EXPECT_DOUBLE_EQ(cost_of(m, 2.5), -(0.8 - 1.0));
+  EXPECT_DOUBLE_EQ(cost_of(m, CostTerms{2.5}), -(0.8 - 1.0));
   EXPECT_DOUBLE_EQ(m.reward(2.5), -0.2);
 }
 

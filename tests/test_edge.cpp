@@ -1,8 +1,6 @@
-// Tests for the edge module: LRU cache, decimation service, network model.
+// Tests for the edge module: LRU cache and decimation service.
 
 #include <gtest/gtest.h>
-
-#include <limits>
 
 #include "hbosim/common/error.hpp"
 #include "hbosim/edge/decimation_service.hpp"
@@ -37,42 +35,6 @@ TEST(LruCache, ZeroCapacityThrows) {
   EXPECT_THROW(LruCache{0}, hbosim::Error);
 }
 
-TEST(NetworkModel, TransferTimeHasRttFloorAndThroughputTerm) {
-  NetworkModel net;
-  net.rtt_ms = 20.0;
-  net.mbit_per_s = 80.0;
-  EXPECT_NEAR(net.transfer_seconds(0), 0.020, 1e-12);
-  // 1 MB = 8 Mbit at 80 Mbit/s = 0.1 s, plus RTT.
-  EXPECT_NEAR(net.transfer_seconds(1000000), 0.120, 1e-9);
-}
-
-TEST(NetworkModel, RejectsNearZeroThroughputAndNonFiniteValues) {
-  // Regression: a near-zero bandwidth used to slip past validation and
-  // turn downloads into astronomically large DES event times.
-  NetworkModel net;
-  net.mbit_per_s = 1e-9;
-  EXPECT_THROW(net.transfer_seconds(1000), hbosim::Error);
-  net.mbit_per_s = 0.0;
-  EXPECT_THROW(net.transfer_seconds(1000), hbosim::Error);
-  net = NetworkModel{};
-  net.rtt_ms = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(net.transfer_seconds(1000), hbosim::Error);
-  net = NetworkModel{};
-  net.mbit_per_s = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(net.transfer_seconds(1000), hbosim::Error);
-  net = NetworkModel{};
-  net.rtt_ms = -5.0;
-  EXPECT_THROW(net.transfer_seconds(1000), hbosim::Error);
-}
-
-TEST(NetworkModel, ShimMatchesStochasticLinkNominal) {
-  NetworkModel net;
-  net.rtt_ms = 12.0;
-  net.mbit_per_s = 200.0;
-  const edgesvc::LinkModel link(net.as_link_config());
-  EXPECT_EQ(net.transfer_seconds(36'000), link.nominal_seconds(36'000));
-}
-
 render::MeshAsset test_asset() {
   return render::MeshAsset(
       "bike", 178552, render::synthesize_degradation_params("bike", 178552));
@@ -103,6 +65,26 @@ TEST(DecimationService, MissThenHitOnSameLevel) {
   EXPECT_EQ(second.triangles, first.triangles);
   EXPECT_EQ(svc.cache_hits(), 1u);
   EXPECT_EQ(svc.cache_misses(), 1u);
+}
+
+TEST(DecimationService, MissDelayIsServerTimePlusRttAndThroughputTerm) {
+  // With no edge attached a miss downloads over the default uncontended
+  // link: 20 ms RTT plus the payload at 120 Mbit/s.
+  DecimationServiceConfig cfg;
+  cfg.server_ms_per_mtri = 0.0;  // isolate the link term
+  DecimationService link_only(cfg);
+  const render::MeshAsset asset = test_asset();
+  const DecimationResult r = link_only.request(asset, 1.0);
+  ASSERT_FALSE(r.cache_hit);
+  const double payload_bits = 36.0 * static_cast<double>(r.triangles) * 8.0;
+  EXPECT_NEAR(r.delay_s, 0.020 + payload_bits / 120e6, 1e-12);
+
+  // The server adds its edge-collapse time over the full-resolution mesh.
+  DecimationService svc;
+  const DecimationResult full = svc.request(asset, 1.0);
+  EXPECT_NEAR(full.delay_s - r.delay_s,
+              35e-3 * static_cast<double>(asset.max_triangles()) / 1e6,
+              1e-12);
 }
 
 TEST(DecimationService, NearbyRatiosShareAQuantizedVersion) {

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <optional>
 
 #include "hbosim/common/error.hpp"
@@ -46,6 +48,30 @@ TEST(LinkModel, ValidatesConfig) {
   EXPECT_THROW(LinkModel{cfg}, Error);
 
   EXPECT_NO_THROW(LinkModel{LinkModelConfig{}});
+}
+
+TEST(LinkModel, RejectsNonFiniteValues) {
+  // A NaN or infinite RTT/throughput must not reach the event queue as a
+  // NaN/inf transfer time.
+  LinkModelConfig cfg;
+  cfg.rtt_ms = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(LinkModel{cfg}, Error);
+
+  cfg = LinkModelConfig{};
+  cfg.rtt_ms = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(LinkModel{cfg}, Error);
+
+  cfg = LinkModelConfig{};
+  cfg.mbit_per_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(LinkModel{cfg}, Error);
+
+  cfg = LinkModelConfig{};
+  cfg.mbit_per_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(LinkModel{cfg}, Error);
+
+  cfg = LinkModelConfig{};
+  cfg.mbit_per_s = 0.0;
+  EXPECT_THROW(LinkModel{cfg}, Error);
 }
 
 TEST(LinkModel, DegenerateConfigMatchesClosedFormExactly) {
@@ -683,6 +709,67 @@ TEST(SessionEdge, StoreFetchFallsBackToLocalBoWhenEdgeIsDown) {
   EXPECT_EQ(fetches, 0);
   EXPECT_GE(session.edge_bo_fallbacks(), 1u);
   EXPECT_FALSE(session.activations().front().warm_start);
+}
+
+// The healthy-edge twin of the test above: a session whose pooled store
+// always misses, so every local-miss activation runs one RemoteBo exchange.
+struct RemoteBoProbe {
+  EdgeClient client{no_jitter_client(), {}, {}, 0, {}, 0, 13};
+  int fetches = 0;
+  std::unique_ptr<app::MarApp> app;
+  std::unique_ptr<core::MonitoredSession> session;
+
+  RemoteBoProbe() {
+    app = scenario::make_app(soc::find_builtin("Pixel 7"),
+                             scenario::ObjectSet::SC2,
+                             scenario::TaskSet::CF2, 77);
+    core::MonitoredSessionConfig cfg;
+    cfg.hbo.n_initial = 2;
+    cfg.hbo.n_iterations = 2;
+    cfg.hbo.selection_candidates = 1;
+    cfg.hbo.control_period_s = 1.0;
+    cfg.hbo.monitor_period_s = 1.0;
+    cfg.reference_periods = 2;
+    cfg.use_lookup_table = true;
+    session = std::make_unique<core::MonitoredSession>(*app, cfg);
+    core::SolutionStoreHooks hooks;
+    hooks.fetch = [this](const core::EnvironmentKey&)
+        -> std::optional<core::StoredSolution> {
+      ++fetches;
+      return std::nullopt;
+    };
+    session->set_solution_store(std::move(hooks));
+    session->set_edge(&client);
+    session->run_until(20.0);
+  }
+};
+
+TEST(SessionEdge, RemoteBoExchangeMovesAFewBytesPerLocalMiss) {
+  const RemoteBoProbe probe;
+  ASSERT_GE(probe.fetches, 1);
+  const EdgeClientStats& st = probe.client.stats();
+  // One exchange per store fetch, every one served, none fell back.
+  EXPECT_EQ(st.requests, static_cast<std::uint64_t>(probe.fetches));
+  EXPECT_EQ(st.successes, st.requests);
+  EXPECT_EQ(probe.session->edge_bo_fallbacks(), 0u);
+  // Section VI: the exchange is "a few Bytes" — the (z, cost) uplink and
+  // the next-configuration downlink, 48 + 40 bytes per iteration.
+  EXPECT_EQ(st.payload_bytes, 88u * st.requests);
+  EXPECT_LT(st.payload_bytes / st.requests, 256u);
+}
+
+TEST(SessionEdge, RemoteBoExchangeCostsOneSuggestPlusTheLinkTime) {
+  const RemoteBoProbe probe;
+  const EdgeClientStats& st = probe.client.stats();
+  ASSERT_GE(st.requests, 1u);
+  // Uncontended: each exchange is the server's one BO suggest plus the
+  // default link's RTT and the 88-byte payload at its throughput.
+  const double one = EdgeServerSpec{}.service_seconds(RequestClass::RemoteBo,
+                                                      1.0) +
+                     LinkModel{}.nominal_seconds(88);
+  EXPECT_NEAR(st.total_elapsed_s, one * static_cast<double>(st.requests),
+              1e-12);
+  EXPECT_NEAR(one, 0.002 + 0.020 + 88.0 * 8.0 / 120e6, 1e-12);
 }
 
 // ---------------------------------------------------------------------------

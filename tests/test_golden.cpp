@@ -1,6 +1,7 @@
 // Golden end-to-end digests: committed FNV-1a digests of every simulated
 // SessionResult field of small canonical fleets, one per fleet mode, and
-// of their FleetMetrics roll-ups on both the exact and the streaming path.
+// of their FleetMetrics roll-ups on both the exact and the streaming path,
+// plus one of the BO suggestion sequence the optimizer makes on its own.
 // Any change that moves a simulated trajectory or a roll-up, even by one
 // ulp in one session, changes a digest and fails here. A change that
 // means to move behaviour updates the constant explicitly and says so in
@@ -17,8 +18,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "hbosim/bo/optimizer.hpp"
+#include "hbosim/common/mathx.hpp"
+#include "hbosim/common/rng.hpp"
 #include "hbosim/edgesvc/broker.hpp"
 #include "hbosim/fleet/fleet_simulator.hpp"
 #include "hbosim/marketsvc/market.hpp"
@@ -114,7 +120,8 @@ void digest_summary(Digest& d, const fleet::MetricSummary& m) {
 
 /// FNV-1a over every simulated FleetMetrics field: everything but the
 /// host-time figures (wall_seconds, sessions_per_sec) and the pool stats
-/// (every fleet below runs without the pool).
+/// (their lock counters measure host contention; the one pooled fleet
+/// below pins what the pool did through its sessions' warm starts).
 void digest_metrics(Digest& d, const fleet::FleetMetrics& m) {
   d.add(std::uint64_t{m.sessions});
   d.add(m.streamed);
@@ -342,6 +349,58 @@ TEST(GoldenDigest, BanditFleet) {
   EXPECT_GT(got.metrics.policy.bandit_updates, 0u);
   got.expect("0xb1d44a88f958c8d9", "0x766431535165609b",
              "0xb589ffdcd5f0c40d");
+}
+
+// Shared solution pool behind the wifi edge, one device so every session
+// keys the same environments. Single-threaded: with the pool on, which
+// sessions warm start depends on completion order. Every local lookup
+// miss reaches the pool through a RemoteBo exchange on the session's
+// edge mirror, so this pins that exchange's timing and accounting.
+TEST(GoldenDigest, SharedPoolEdgeFleet) {
+  fleet::FleetSpec spec = golden_fleet();
+  spec.threads = 1;
+  spec.devices = {{"Pixel 7", 1.0}};
+  spec.use_shared_pool = true;
+  spec.session.warm_start_tolerance = 10.0;  // accept pooled configs
+  spec.use_edge_service = true;
+  spec.edge = edgesvc::edge_service_preset("wifi");
+  const FleetDigests got = digest_fleet(spec);
+  EXPECT_GT(got.metrics.total_shared_warm_starts, 0u);
+  EXPECT_GT(got.metrics.edge.requests, 0u);
+  got.expect("0x85b896671a4eac67", "0xb1c41c882568a2a6",
+             "0x7ec47d25a235fea3");
+}
+
+// Scheduler forensics on: per-session SchedTrace, offline analysis, and
+// the SchedHealth roll-up.
+TEST(GoldenDigest, SchedFleet) {
+  fleet::FleetSpec spec = golden_fleet();
+  spec.sched.enabled = true;
+  const FleetDigests got = digest_fleet(spec);
+  EXPECT_GT(got.metrics.sched.jobs, 0u);
+  EXPECT_GT(got.metrics.sched.events, 0u);
+  got.expect("0x083a8cb47f97fcc6", "0x53783794417dc505",
+             "0xcfd7ebf327d7e4bf");
+}
+
+// The optimizer alone: the bits of the 30 suggestions a default-config
+// BayesianOptimizer makes on the HBO domain at seed 4242, each told the
+// squared distance to a fixed target.
+TEST(GoldenDigest, BoSuggestSequence) {
+  const std::vector<double> target = {0.6, 0.1, 0.3, 0.7};
+  bo::BayesianOptimizer opt(bo::SimplexBoxSpace(3, 0.2, 1.0));
+  Rng rng(4242);
+  Digest d;
+  for (int i = 0; i < 30; ++i) {
+    const std::vector<double> z = opt.suggest(rng);
+    for (double v : z) d.add(v);
+    const double dist = euclidean_distance(std::span<const double>(z),
+                                           std::span<const double>(target));
+    opt.tell(z, dist * dist);
+  }
+  EXPECT_EQ(hex(d.value()), "0x15e92db6b9a69efa")
+      << "BO suggestions moved; if intended, update the golden digest and "
+         "record it in CHANGES.md";
 }
 
 }  // namespace

@@ -40,21 +40,6 @@ edgesvc::EdgeClient make_edge_client(const edgesvc::EdgeServiceSpec& svc,
 
 // ---------------------------------------------------------------- cost --
 
-TEST(CostTerms, LegacyOverloadsAreBitwiseThinWrappers) {
-  app::PeriodMetrics m;
-  m.average_quality = 0.8125;  // dyadic values: exact FP round trips
-  m.latency_ratio = 0.375;
-  m.avg_power_w = 2.625;
-  m.triangle_ratio = 0.5625;
-
-  EXPECT_EQ(core::cost_of(m, 2.5),
-            core::cost_of(m, core::CostTerms{2.5, 0.0, 0.0}));
-  EXPECT_EQ(core::cost_of(m, 2.5, 0.125),
-            core::cost_of(m, core::CostTerms{2.5, 0.125, 0.0}));
-  EXPECT_EQ(core::cost_of(m, 2.5, 0.125, 0.25),
-            core::cost_of(m, core::CostTerms{2.5, 0.125, 0.25}));
-}
-
 TEST(CostTerms, ZeroWeightTermsAddNoArithmetic) {
   app::PeriodMetrics m;
   m.average_quality = 0.7;
@@ -62,7 +47,7 @@ TEST(CostTerms, ZeroWeightTermsAddNoArithmetic) {
   m.avg_power_w = 3.1;
   m.triangle_ratio = 0.9;
 
-  // The legacy pure-QoE cost, bit for bit: zero-weight terms must not
+  // The pure-QoE cost, bit for bit: zero-weight terms must not
   // even touch the accumulator (x + 0.0*y is not always a no-op in FP).
   EXPECT_EQ(core::cost_of(m, core::CostTerms{2.5, 0.0, 0.0}),
             core::cost(m.average_quality, m.latency_ratio, 2.5));

@@ -9,6 +9,7 @@
 #include "hbosim/common/error.hpp"
 #include "hbosim/common/mathx.hpp"
 #include "hbosim/telemetry/telemetry.hpp"
+#include "support/full_refit_oracle.hpp"
 
 namespace hbosim::bo {
 namespace {
@@ -163,26 +164,31 @@ TEST(Optimizer, PinnedBoxSearchesOnlyTheSimplex) {
   }
 }
 
+/// Suggestion sequence of `Opt` (the optimizer or the full-refit oracle)
+/// over `iterations` suggest/tell rounds on seed `seed`.
+template <class Opt>
+std::vector<std::vector<double>> suggestion_run(const BoConfig& cfg,
+                                                std::uint64_t seed,
+                                                int iterations) {
+  Opt opt(SimplexBoxSpace(3, 0.2, 1.0), cfg);
+  Rng rng(seed);
+  std::vector<std::vector<double>> suggestions;
+  for (int i = 0; i < iterations; ++i) {
+    auto z = opt.suggest(rng);
+    opt.tell(z, synthetic_cost(z));
+    suggestions.push_back(std::move(z));
+  }
+  return suggestions;
+}
+
 TEST(Optimizer, IncrementalMatchesFullRefitSuggestionSequence) {
   // The headline equivalence property of the incremental surrogate path:
-  // on the same seed, the suggestion sequence must match the original
-  // full-refit path to tight tolerance (they share every RNG call and the
-  // same surrogate math; only the batched exp may differ by ulps).
-  auto run = [](bool incremental) {
-    BoConfig cfg;
-    cfg.incremental_gp = incremental;
-    BayesianOptimizer opt(SimplexBoxSpace(3, 0.2, 1.0), cfg);
-    Rng rng(4242);
-    std::vector<std::vector<double>> suggestions;
-    for (int i = 0; i < 30; ++i) {
-      auto z = opt.suggest(rng);
-      opt.tell(z, synthetic_cost(z));
-      suggestions.push_back(std::move(z));
-    }
-    return suggestions;
-  };
-  const auto fast = run(true);
-  const auto slow = run(false);
+  // on the same seed, the suggestion sequence must match a from-scratch
+  // refit per suggest to tight tolerance (they share every RNG call and
+  // the same surrogate math; only the batched exp may differ by ulps).
+  const auto fast = suggestion_run<BayesianOptimizer>(BoConfig{}, 4242, 30);
+  const auto slow =
+      suggestion_run<testsupport::FullRefitOracle>(BoConfig{}, 4242, 30);
   ASSERT_EQ(fast.size(), slow.size());
   for (std::size_t i = 0; i < fast.size(); ++i) {
     ASSERT_EQ(fast[i].size(), slow[i].size()) << "iteration " << i;
@@ -197,22 +203,12 @@ TEST(Optimizer, IncrementalMatchesAcrossKernelsAndAcquisitions) {
        {KernelKind::Matern52, KernelKind::Matern32, KernelKind::Rbf}) {
     for (auto acq : {AcquisitionKind::ExpectedImprovement,
                      AcquisitionKind::LowerConfidenceBound}) {
-      auto run = [&](bool incremental) {
-        BoConfig cfg;
-        cfg.kernel = kernel;
-        cfg.acquisition = acq;
-        cfg.incremental_gp = incremental;
-        BayesianOptimizer opt(SimplexBoxSpace(3, 0.2, 1.0), cfg);
-        Rng rng(99);
-        std::vector<double> last;
-        for (int i = 0; i < 12; ++i) {
-          last = opt.suggest(rng);
-          opt.tell(last, synthetic_cost(last));
-        }
-        return last;
-      };
-      const auto fast = run(true);
-      const auto slow = run(false);
+      BoConfig cfg;
+      cfg.kernel = kernel;
+      cfg.acquisition = acq;
+      const auto fast = suggestion_run<BayesianOptimizer>(cfg, 99, 12).back();
+      const auto slow =
+          suggestion_run<testsupport::FullRefitOracle>(cfg, 99, 12).back();
       ASSERT_EQ(fast.size(), slow.size());
       for (std::size_t j = 0; j < fast.size(); ++j)
         EXPECT_NEAR(fast[j], slow[j], 1e-8)

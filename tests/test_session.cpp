@@ -5,7 +5,6 @@
 
 #include "hbosim/common/error.hpp"
 #include "hbosim/core/monitored_session.hpp"
-#include "hbosim/edge/remote_optimizer.hpp"
 #include "hbosim/scenario/scenarios.hpp"
 #include "hbosim/soc/devices_builtin.hpp"
 
@@ -203,33 +202,6 @@ TEST(MonitoredSession, InvalidConfigThrows) {
   cfg = fast_session();
   cfg.warm_start_tolerance = -1.0;
   EXPECT_THROW(core::MonitoredSession(app, cfg), Error);
-}
-
-TEST(RemoteOptimizer, RoundTripSumsLinkAndServerTime) {
-  edge::RemoteOptimizerConfig cfg;
-  cfg.network.rtt_ms = 10.0;
-  cfg.network.mbit_per_s = 100.0;
-  cfg.upload_bytes = 48;
-  cfg.download_bytes = 40;
-  cfg.server_suggest_ms = 2.0;
-  edge::RemoteOptimizerLink link(cfg);
-  // Two RTTs dominate; payloads are a few microseconds at 100 Mbit/s.
-  EXPECT_NEAR(link.round_trip_seconds(), 0.010 + 0.002 + 0.010, 1e-4);
-  EXPECT_EQ(link.bytes_per_iteration(), 88u);
-}
-
-TEST(RemoteOptimizer, OffloadDecisionComparesAgainstLocalCost) {
-  edge::RemoteOptimizerConfig cfg;
-  cfg.network.rtt_ms = 10.0;
-  edge::RemoteOptimizerLink link(cfg);
-  EXPECT_TRUE(link.offload_pays_off(0.100));   // slow device: 100 ms local
-  EXPECT_FALSE(link.offload_pays_off(0.001));  // fast device: 1 ms local
-  EXPECT_THROW(link.offload_pays_off(-1.0), Error);
-}
-
-TEST(RemoteOptimizer, PayloadIsAFewBytesAsThePaperClaims) {
-  const edge::RemoteOptimizerLink link;
-  EXPECT_LT(link.bytes_per_iteration(), 256u);
 }
 
 }  // namespace
