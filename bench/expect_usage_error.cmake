@@ -1,6 +1,6 @@
 # Runs COMMAND_LINE (a ;-list: program then arguments) and passes only if
 # it exits with status 2 and prints a line matching EXPECT to stderr: the
-# benches' contract for bad command lines.
+# contract for bad command lines of the benches and fleet_demo.
 #
 #   cmake -DCOMMAND_LINE="<exe>;--bogus" -DEXPECT="unknown option" \
 #         -P expect_usage_error.cmake

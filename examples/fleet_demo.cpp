@@ -80,10 +80,11 @@
 //   --gantt <file.csv>     with --sched: write the re-run worst session's
 //                          per-job Gantt timeline as CSV.
 //
-//   --sessions N           fleet size (default 24). Large fleets (> 96
-//                          sessions) switch to a fast session profile
-//                          (shorter duration, truncated activations) so a
-//                          10^5-session run finishes in minutes.
+//   --sessions N           fleet size, 1..2^20 (default 24). Large
+//                          fleets (> 96 sessions) switch to a fast session
+//                          profile (shorter duration, truncated
+//                          activations) so a 10^5-session run finishes in
+//                          minutes.
 //
 //   --stream               run the streaming roll-up path
 //                          (retain_results=false): per-session results are
@@ -94,13 +95,16 @@
 //                          The per-session table is skipped (nothing is
 //                          retained to print).
 
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
+#include "hbosim/common/error.hpp"
 #include "hbosim/common/meminfo.hpp"
 #include "hbosim/fleet/fleet_simulator.hpp"
 #include "hbosim/marketsvc/market.hpp"
@@ -109,6 +113,7 @@
 
 int main(int argc, char** argv) {
   using namespace hbosim;
+  constexpr std::size_t kMaxSessions = std::size_t{1} << 20;
 
   std::string trace_path;
   std::string metrics_path;
@@ -130,9 +135,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics" && i + 1 < argc) {
       metrics_path = argv[++i];
     } else if (arg == "--sessions" && i + 1 < argc) {
-      sessions_override = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (sessions_override == 0) {
-        std::cerr << "--sessions needs a positive count\n";
+      // Whole token only: "12abc" and "-5" are rejected, not read as 12
+      // or wrapped to a huge count. Bound as in fleetbench.
+      const std::string_view value = argv[++i];
+      const auto [end, ec] = std::from_chars(
+          value.data(), value.data() + value.size(), sessions_override);
+      if (ec != std::errc{} || end != value.data() + value.size() ||
+          sessions_override < 1 || sessions_override > kMaxSessions) {
+        std::cerr << "--sessions needs a whole count in [1, " << kMaxSessions
+                  << "], got '" << value << "'\n";
         return 2;
       }
     } else if (arg == "--stream") {
@@ -208,10 +219,7 @@ int main(int argc, char** argv) {
   spec.session.hbo.selection_candidates = 1;
   spec.session.hbo.control_period_s = 1.0;
   spec.session.hbo.monitor_period_s = 1.0;
-  if (use_edge || use_market) {
-    spec.use_edge_service = true;
-    spec.edge = edgesvc::edge_service_preset(edge_preset);
-  }
+  spec.use_edge_service = use_edge || use_market;
   if (use_market) {
     spec.market.enabled = true;
     spec.market.allocator.policy =
@@ -288,13 +296,23 @@ int main(int argc, char** argv) {
     spec.duration_s = 90.0;
   }
 
-  fleet::FleetSimulator simulator(spec);
+  // An unknown edge preset or a combination FleetSpec::validate() rejects
+  // is a bad command line: report it instead of terminating.
+  std::optional<fleet::FleetSimulator> simulator;
+  try {
+    if (spec.use_edge_service)
+      spec.edge = edgesvc::edge_service_preset(edge_preset);
+    simulator.emplace(spec);
+  } catch (const Error& e) {
+    std::cerr << "fleet_demo: " << e.what() << "\n";
+    return 2;
+  }
   std::cout << "Simulating a fleet of " << spec.sessions
             << " MAR sessions (Pixel 7 / Galaxy S22, SC1/SC2 x CF1/CF2)"
             << (use_edge ? " sharing a '" + edge_preset + "' edge server"
                          : std::string())
             << "...\n\n";
-  const fleet::FleetResult result = simulator.run();
+  const fleet::FleetResult result = simulator->run();
 
   std::cout << std::fixed << std::setprecision(3);
   if (!result.sessions.empty()) {
@@ -470,9 +488,9 @@ int main(int argc, char** argv) {
       }
     }
     des::SchedTrace trace(spec.sched);
-    simulator.run_session_traced(simulator.session_spec(worst), trace);
+    simulator->run_session_traced(simulator->session_spec(worst), trace);
     des::SchedAnalyzer analysis(trace, spec.sched_analysis);
-    const fleet::SessionSpec ws = simulator.session_spec(worst);
+    const fleet::SessionSpec ws = simulator->session_spec(worst);
     std::cout << "\nWorst session " << worst << " (" << ws.device << ", "
               << ws.scenario_name() << "), re-run deterministically:\n";
     analysis.print_report(std::cout);

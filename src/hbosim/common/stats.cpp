@@ -131,23 +131,4 @@ double P2Quantile::value() const {
   return q_[2];
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  HB_REQUIRE(bins > 0, "Histogram requires at least one bin");
-  HB_REQUIRE(hi > lo, "Histogram requires hi > lo");
-}
-
-void Histogram::add(double x) {
-  const auto raw = static_cast<long>(std::floor((x - lo_) / width_));
-  const long clamped =
-      std::clamp(raw, 0L, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(clamped)];
-  ++total_;
-}
-
-double Histogram::bin_lower(std::size_t i) const {
-  HB_REQUIRE(i < counts_.size(), "Histogram bin index out of range");
-  return lo_ + width_ * static_cast<double>(i);
-}
-
 }  // namespace hbosim

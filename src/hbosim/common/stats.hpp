@@ -91,23 +91,4 @@ class P2Quantile {
   double dn_[5] = {};  ///< Desired-position increments per sample.
 };
 
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  const std::vector<std::size_t>& counts() const { return counts_; }
-  double bin_lower(std::size_t i) const;
-  double bin_width() const { return width_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace hbosim

@@ -10,7 +10,7 @@ namespace {
 /// RFC-4180-style quoting: series names and marker labels are free-form,
 /// so any field containing a comma, quote, or newline is emitted quoted
 /// with inner quotes doubled.
-void write_csv_field(std::ostream& os, const std::string& s) {
+void put_csv_field(std::ostream& os, const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) {
     os << s;
     return;
@@ -24,22 +24,17 @@ void write_csv_field(std::ostream& os, const std::string& s) {
 }
 }  // namespace
 
-SeriesId TraceRecorder::series_id(const std::string& series) {
+std::size_t TraceRecorder::series_id(const std::string& series) {
   auto it = index_.find(series);
   if (it != index_.end()) return it->second;
-  const SeriesId id = series_.size();
+  const std::size_t id = series_.size();
   series_.push_back(Series{series, {}});
   index_.emplace(series, id);
   return id;
 }
 
 void TraceRecorder::record(const std::string& series, SimTime t, double value) {
-  record(series_id(series), t, value);
-}
-
-void TraceRecorder::record(SeriesId id, SimTime t, double value) {
-  HB_REQUIRE(id < series_.size(), "invalid trace series id");
-  series_[id].points.push_back(TracePoint{t, value});
+  series_[series_id(series)].points.push_back(TracePoint{t, value});
 }
 
 void TraceRecorder::mark(SimTime t, const std::string& label) {
@@ -60,11 +55,6 @@ const TraceSeries& TraceRecorder::series(const std::string& name) const {
   const Series* s = find(name);
   HB_REQUIRE(s != nullptr, "unknown trace series: " + name);
   return s->points;
-}
-
-const TraceSeries& TraceRecorder::series(SeriesId id) const {
-  HB_REQUIRE(id < series_.size(), "invalid trace series id");
-  return series_[id].points;
 }
 
 std::vector<std::string> TraceRecorder::series_names() const {
@@ -92,7 +82,7 @@ double TraceRecorder::window_mean(const std::string& name, SimTime t0,
 void TraceRecorder::dump_series_csv(const std::string& name,
                                     std::ostream& os) const {
   os << "time,";
-  write_csv_field(os, name);
+  put_csv_field(os, name);
   os << '\n';
   for (const auto& p : series(name)) os << p.time << ',' << p.value << '\n';
 }
@@ -123,12 +113,12 @@ void TraceRecorder::dump_all_csv(std::ostream& os) const {
   os << "time,series,value\n";
   for (const Row& r : rows) {
     os << r.time << ',';
-    write_csv_field(os, *r.series);
+    put_csv_field(os, *r.series);
     os << ',';
     if (r.point != nullptr)
       os << r.point->value;
     else
-      write_csv_field(os, *r.label);
+      put_csv_field(os, *r.label);
     os << '\n';
   }
 }

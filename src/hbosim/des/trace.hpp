@@ -12,11 +12,6 @@
 /// \file trace.hpp
 /// Named time-series recorder. Benches use it to collect figure data
 /// (e.g., per-task latency over time for Fig. 2) and dump it as CSV.
-///
-/// Two recording APIs share one store: the string API hashes the series
-/// name on every call (fine for cold paths), while `series_id()` interns
-/// the name once and `record(SeriesId, ...)` appends with a plain vector
-/// index — the right shape for per-event recording inside a DES loop.
 
 namespace hbosim::des {
 
@@ -24,9 +19,6 @@ struct TracePoint {
   SimTime time;
   double value;
 };
-
-/// Stable handle for a recorder series; valid until clear().
-using SeriesId = std::size_t;
 
 /// One recorded series. Point storage grows per sample, so it routes
 /// through the session arena when a fleet worker's ArenaScope is active
@@ -38,21 +30,12 @@ class TraceRecorder {
   /// Append a sample to the named series (hashes the name every call).
   void record(const std::string& series, SimTime t, double value);
 
-  /// Intern a series name; repeated calls with the same name return the
-  /// same id. Creates the (empty) series if it does not exist yet.
-  SeriesId series_id(const std::string& series);
-
-  /// Append a sample via an interned handle — no hashing, no allocation
-  /// beyond vector growth.
-  void record(SeriesId id, SimTime t, double value);
-
   /// Append a point-event marker (e.g., "allocation change C5"); markers
   /// render as annotation rows in dumps.
   void mark(SimTime t, const std::string& label);
 
   bool has_series(const std::string& series) const;
   const TraceSeries& series(const std::string& name) const;
-  const TraceSeries& series(SeriesId id) const;
   /// All series names, sorted.
   std::vector<std::string> series_names() const;
   const std::vector<std::pair<SimTime, std::string>>& markers() const {
@@ -79,10 +62,12 @@ class TraceRecorder {
     TraceSeries points;
   };
 
+  /// Index of the named series, created empty on first use.
+  std::size_t series_id(const std::string& series);
   const Series* find(const std::string& name) const;
 
   std::vector<Series> series_;
-  std::unordered_map<std::string, SeriesId> index_;
+  std::unordered_map<std::string, std::size_t> index_;
   std::vector<std::pair<SimTime, std::string>> markers_;
 };
 

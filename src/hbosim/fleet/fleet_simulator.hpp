@@ -248,8 +248,6 @@ class FleetSimulator {
   const SharedSolutionPool* pool() const { return pool_.get(); }
   /// Null unless use_edge_service; reset at the start of every run().
   const edgesvc::EdgeBroker* edge_broker() const { return broker_.get(); }
-  /// Null unless policy mode Prior; reset at the start of every run().
-  const policy::PriorStore* prior_store() const { return prior_store_.get(); }
   /// Null unless policy mode Bandit; reset at the start of every run().
   const policy::LinUcbBandit* bandit() const { return bandit_.get(); }
 

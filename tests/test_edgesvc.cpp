@@ -125,44 +125,56 @@ TEST(LinkModel, BandwidthSharingDividesThroughput) {
                    0.020 + bits / (30.0 * 1e6));
 }
 
-TEST(LinkModel, StreamingTransferSettlesAtTheOldRateOnReShare) {
-  LinkModel link;  // 120 Mbit/s, no sharing: 15 MB takes exactly 1 s
-  link.begin_transfer(15'000'000, 0.0);
-  ASSERT_TRUE(link.transfer_active());
-  EXPECT_DOUBLE_EQ(link.transfer_completion_s(), 1.0);
-
-  // Halfway through, the allocator admits a second flow. The first 0.5 s
-  // of progress was earned at the full 120 Mbit/s...
-  link.set_background_flows(1.0, 0.5);
-  EXPECT_DOUBLE_EQ(link.transfer_remaining_bytes(0.5), 7'500'000.0);
-  // ...and the rest drains at the halved rate: done at 0.5 + 1.0.
-  EXPECT_DOUBLE_EQ(link.transfer_completion_s(), 1.5);
-  EXPECT_DOUBLE_EQ(link.transfer_remaining_bytes(1.5), 0.0);
-  EXPECT_FALSE(link.transfer_active());
+TEST(LinkModel, JitterStaysInsideTheConfiguredBand) {
+  LinkModelConfig cfg;
+  cfg.rtt_jitter_frac = 0.25;
+  LinkModel link(cfg);
+  const double transfer = link.nominal_seconds(50'000) - 0.020;
+  Rng rng(7);
+  double lo = 1e9, hi = -1e9;
+  for (int i = 0; i < 500; ++i) {
+    const LinkSample s = link.sample(50'000, rng);
+    ASSERT_FALSE(s.lost);
+    const double rtt = s.seconds - transfer;
+    lo = std::min(lo, rtt);
+    hi = std::max(hi, rtt);
+  }
+  // RTT scale is uniform in [0.75, 1.25): bounded, and actually spread.
+  EXPECT_GE(lo, 0.020 * 0.75 - 1e-12);
+  EXPECT_LT(hi, 0.020 * 1.25 + 1e-12);
+  EXPECT_LT(lo, 0.020 * 0.85);
+  EXPECT_GT(hi, 0.020 * 1.15);
 }
 
-TEST(LinkModel, UnchangedReShareIsAStrictNoOp) {
-  // Mirroring PsResource::set_capacity: setting the value already in
-  // force must not settle progress (repeated settles at the same rate
-  // could drift the remaining bytes by rounding).
+TEST(LinkModel, LossFreeJitterFreeSampleDrawsNothing) {
+  // A link that cannot lose or jitter must leave the session's generator
+  // untouched, so attaching it cannot shift any later draw.
   LinkModelConfig cfg;
   cfg.background_flows = 2.0;
-  LinkModel touched(cfg), untouched(cfg);
-  touched.begin_transfer(9'999'991, 0.0);
-  untouched.begin_transfer(9'999'991, 0.0);
-  for (int i = 1; i <= 7; ++i) {
-    touched.set_background_flows(2.0, 0.1 * static_cast<double>(i));
-  }
-  EXPECT_EQ(touched.transfer_remaining_bytes(0.77),
-            untouched.transfer_remaining_bytes(0.77));
-  EXPECT_EQ(touched.transfer_completion_s(), untouched.transfer_completion_s());
+  LinkModel link(cfg);
+  Rng used(42), fresh(42);
+  for (int i = 0; i < 10; ++i) (void)link.sample(10'000, used);
+  EXPECT_EQ(used.next_u64(), fresh.next_u64());
 }
 
-TEST(LinkModel, TransferProgressCannotRunBackwards) {
-  LinkModel link;
-  link.begin_transfer(100'000'000, 1.0);  // ~6.7 s at 120 Mbit/s
-  (void)link.transfer_remaining_bytes(2.0);
-  EXPECT_THROW((void)link.transfer_remaining_bytes(1.5), Error);
+TEST(LinkModel, GilbertElliottStateAlternatesWithCertainTransitions) {
+  // Both transitions certain: the chain flips every exchange, and only
+  // the Bad-state exchanges are lost.
+  LinkModelConfig cfg;
+  cfg.p_good_to_bad = 1.0;
+  cfg.p_bad_to_good = 1.0;
+  cfg.loss_bad = 1.0;
+  LinkModel link(cfg);
+  Rng rng(3);
+  for (int i = 0; i < 10; ++i) {
+    const bool bad = (i % 2 == 0);
+    const LinkSample s = link.sample(100, rng);
+    EXPECT_EQ(link.in_bad_state(), bad) << "exchange " << i;
+    EXPECT_EQ(s.lost, bad) << "exchange " << i;
+    if (!bad) {
+      EXPECT_DOUBLE_EQ(s.seconds, link.nominal_seconds(100));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <thread>
 
 #include "hbosim/common/error.hpp"
+#include "hbosim/edgesvc/broker.hpp"
 #include "hbosim/fleet/fleet_simulator.hpp"
 
 namespace hbosim {
@@ -46,6 +48,39 @@ TEST(FleetSpec, ValidateRejectsNonsense) {
   spec = fleet::FleetSpec{};
   spec.devices = {{"Pixel 7", -1.0}};
   EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
+}
+
+// The static-trim baseline (bench_market) pins every edge client's
+// resolution; validate() rejects each way of misusing it.
+TEST(FleetSpec, StaticResolutionValidation) {
+  auto rejection = [](const fleet::FleetSpec& spec) -> std::string {
+    try {
+      spec.validate();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  fleet::FleetSpec spec;
+  spec.use_edge_service = true;
+  spec.edge = edgesvc::edge_service_preset("wifi");
+  spec.edge_static_resolution = 0.6;
+  EXPECT_EQ(rejection(spec), "");
+
+  for (double bad : {0.0, -0.5, 1.5, std::nan("")}) {
+    spec.edge_static_resolution = bad;
+    EXPECT_NE(rejection(spec).find("must be in (0, 1]"), std::string::npos)
+        << bad;
+  }
+
+  spec.edge_static_resolution = 0.6;
+  spec.use_edge_service = false;
+  EXPECT_NE(rejection(spec).find("needs use_edge_service"), std::string::npos);
+
+  spec.use_edge_service = true;
+  spec.market.enabled = true;
+  spec.use_shared_pool = false;
+  EXPECT_NE(rejection(spec).find("not both"), std::string::npos);
 }
 
 TEST(FleetSimulator, SessionSpecsAreDeterministicAndSeededByOffset) {

@@ -339,6 +339,19 @@ TEST(GoldenDigest, MarketFleet) {
              "0x8f7d60677f1599ca");
 }
 
+// Static-trim baseline (bench_market's comparison cell): every edge
+// client pinned at resolution 0.6 on the wifi edge, no allocator.
+TEST(GoldenDigest, StaticTrimFleet) {
+  fleet::FleetSpec spec = golden_fleet();
+  spec.use_edge_service = true;
+  spec.edge = edgesvc::edge_service_preset("wifi");
+  spec.edge_static_resolution = 0.6;
+  const FleetDigests got = digest_fleet(spec);
+  EXPECT_GT(got.metrics.edge.requests, 0u);
+  got.expect("0xc1bebd95af0f2674", "0x2dee49d13a957978",
+             "0xd3971bfe5ace8cf3");
+}
+
 // LinUCB agent in place of HBO, learning in epochs of four sessions.
 TEST(GoldenDigest, BanditFleet) {
   fleet::FleetSpec spec = golden_fleet();

@@ -55,6 +55,15 @@ TEST(Ewma, FirstSampleInitializes) {
   EXPECT_DOUBLE_EQ(e.value(), 42.0);
 }
 
+TEST(Percentile, InterpolatesLinearly) {
+  const std::vector<double> xs = {4.0, 1.0, 3.0, 2.0};  // sorted: 1 2 3 4
+  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 4.0);
+  EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 2.5);
+  EXPECT_THROW(percentile({}, 50.0), Error);
+  EXPECT_THROW(percentile(xs, 101.0), Error);
+}
+
 TEST(Percentile, MatchesLinearInterpolationReference) {
   // rank = p/100 * (n-1), interpolated between order statistics.
   const std::vector<double> xs = {15.0, 20.0, 35.0, 40.0, 50.0};
@@ -88,26 +97,6 @@ TEST(Ewma, InvalidAlphaThrows) {
 TEST(Ewma, ValueOnEmptyThrows) {
   Ewma e(0.5);
   EXPECT_THROW(e.value(), Error);
-}
-
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 4
-  h.add(-5.0);  // clamps to bin 0
-  h.add(50.0);  // clamps to bin 4
-  h.add(5.0);   // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.counts()[0], 2u);
-  EXPECT_EQ(h.counts()[2], 1u);
-  EXPECT_EQ(h.counts()[4], 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lower(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_width(), 2.0);
-}
-
-TEST(Histogram, InvalidConfigThrows) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), Error);
-  EXPECT_THROW(Histogram(1.0, 0.0, 4), Error);
 }
 
 TEST(TextTable, AlignsAndPrints) {
