@@ -5,19 +5,22 @@
 // Not a paper artefact — this measures the hbosim::fleet engine itself:
 //   * scaling curve: a fixed fleet on {1, 4, hardware_concurrency} threads
 //     (deduplicated), reporting wall time, sessions/sec, and speedup vs 1;
-//   * warm-start ablation: the same fleet with the SharedSolutionPool on,
-//     reporting pool hit rate and the warm-start fraction of activations;
+//   * warm-start ablation: the same fleet with the SharedSolutionPool on
+//     (epoch-frozen, 32 epochs), reporting pool hit rate and the
+//     warm-start fraction of activations;
 //   * policy layer: the same fleet in PolicyMode::Prior, reporting how
 //     much of the full-activation traffic ran with a fitted prior;
 //   * mega-fleet scaling curve: a sessions x threads grid run through the
 //     streaming path (retain_results=false, arena-backed sessions, pool
-//     on), reporting wall time, sessions/sec, peak RSS, and pool
-//     hit/contention rates — the 10^5-session regime.
+//     on), reporting wall time, sessions/sec, peak RSS, and pool hit
+//     rate — the 10^5-session regime.
 //
 // Usage: see kUsage below, or run `bench_fleet --help`. --gate enforces
 // the smoke_gate block of a committed JSON (max wall clock, max peak RSS,
 // min mega throughput); exceeding any bound fails the bench — the CI
-// regression gate.
+// regression gate. Every run also fails unless each mega-grid size
+// reports the same pool hits, misses and stores on every thread count
+// (the epoch-frozen pool is deterministic).
 
 #include <algorithm>
 #include <charconv>
@@ -68,7 +71,7 @@ struct MegaPoint {
   double sessions_per_sec = 0.0;
   double peak_rss_mb = 0.0;
   double pool_hit_rate = 0.0;
-  double pool_contention_rate = 0.0;
+  hbosim::fleet::SharedSolutionPoolStats pool;
 };
 
 double mb(std::size_t bytes) { return static_cast<double>(bytes) / (1 << 20); }
@@ -190,6 +193,8 @@ int main(int argc, char** argv) {
     fleet::FleetSpec spec = base_spec(sessions, duration_s);
     spec.threads = ThreadPool::hardware_threads();
     spec.use_shared_pool = pooled;
+    // 32 epochs: sessions after the first epoch warm start from the pool.
+    spec.epoch_sessions = std::max<std::size_t>(sessions / 32, 1);
     spec.session.use_lookup_table = true;  // per-session table in both arms
     const fleet::FleetResult result = fleet::FleetSimulator(spec).run();
     const fleet::FleetMetrics& m = result.metrics;
@@ -206,8 +211,7 @@ int main(int argc, char** argv) {
       pool_hit_rate = m.pool.hit_rate();
       std::cout << "  pool entries=" << m.pool.size << " stores="
                 << m.pool.stores << " evictions=" << m.pool.evictions
-                << " shards=" << m.pool.shards << " lock_contention_rate="
-                << std::setprecision(4) << m.pool.contention_rate() << "\n";
+                << "\n";
       benchutil::section("fleet-wide per-session aggregates (pool ON)");
       auto row = [](const char* name, const fleet::MetricSummary& s) {
         std::cout << "  " << std::left << std::setw(14) << name << std::right
@@ -226,7 +230,7 @@ int main(int argc, char** argv) {
   fleet::FleetSpec pspec = base_spec(sessions, duration_s);
   pspec.threads = ThreadPool::hardware_threads();
   pspec.policy.mode = fleet::PolicyMode::Prior;
-  pspec.policy.epoch_sessions = std::max<std::size_t>(sessions / 8, 1);
+  pspec.epoch_sessions = std::max<std::size_t>(sessions / 8, 1);
   pspec.policy.prior.min_observations = 6;
   const fleet::FleetResult presult = fleet::FleetSimulator(pspec).run();
   const fleet::FleetMetrics& pm = presult.metrics;
@@ -252,13 +256,17 @@ int main(int argc, char** argv) {
                      mega_threads.end());
   std::vector<MegaPoint> mega;
   std::cout << "  sessions  threads    wall_s  sessions/s  peak_rss_mb"
-               "  hit_rate  contention\n";
+               "  hit_rate\n";
   for (std::size_t n : mega_sessions) {
     for (std::size_t threads : mega_threads) {
       fleet::FleetSpec spec = base_spec(n, 10.0);
       spec.threads = threads;
       spec.retain_results = false;
       spec.use_shared_pool = true;
+      // Each epoch barrier idles the workers for a session's tail, and
+      // each session of the first epoch misses the pool. On 4 threads 64
+      // to 256 sessions balanced the two best (of 64-1024 tried).
+      spec.epoch_sessions = std::clamp<std::size_t>(n / 64, 64, 256);
       spec.session.use_lookup_table = true;
       const fleet::FleetResult result = fleet::FleetSimulator(spec).run();
       const fleet::FleetMetrics& m = result.metrics;
@@ -269,14 +277,13 @@ int main(int argc, char** argv) {
       p.sessions_per_sec = m.sessions_per_sec;
       p.peak_rss_mb = mb(peak_rss_bytes());
       p.pool_hit_rate = m.pool.hit_rate();
-      p.pool_contention_rate = m.pool.contention_rate();
+      p.pool = m.pool;
       mega.push_back(p);
       std::cout << "  " << std::setw(8) << n << std::setw(9) << threads
                 << std::setprecision(2) << std::setw(10) << p.wall_s
                 << std::setprecision(1) << std::setw(12) << p.sessions_per_sec
                 << std::setw(13) << p.peak_rss_mb << std::setprecision(3)
-                << std::setw(10) << p.pool_hit_rate << std::setprecision(4)
-                << std::setw(12) << p.pool_contention_rate << "\n";
+                << std::setw(10) << p.pool_hit_rate << "\n";
     }
   }
   const double peak_rss_mb = mb(peak_rss_bytes());
@@ -288,10 +295,33 @@ int main(int argc, char** argv) {
                             std::chrono::steady_clock::now() - t0)
                             .count();
 
-  std::cout << "\nDeterminism note: per-session results are bit-identical "
-               "across thread counts with the pool off (policy on or off); "
-               "warm-start placement with the pool on depends on completion "
-               "order.\n";
+  // The epoch-frozen pool's traffic is a pure function of the spec: every
+  // thread count of one mega size must report the same hits, misses and
+  // stores.
+  bool pool_deterministic = true;
+  for (const MegaPoint& p : mega) {
+    const MegaPoint& ref = *std::find_if(
+        mega.begin(), mega.end(),
+        [&p](const MegaPoint& q) { return q.sessions == p.sessions; });
+    const bool same = p.pool.hits == ref.pool.hits &&
+                      p.pool.misses == ref.pool.misses &&
+                      p.pool.stores == ref.pool.stores;
+    if (!same) {
+      std::cout << "GATE FAIL: " << p.sessions << " sessions on "
+                << p.threads << " threads: pool hits/misses/stores "
+                << p.pool.hits << "/" << p.pool.misses << "/"
+                << p.pool.stores << " vs " << ref.pool.hits << "/"
+                << ref.pool.misses << "/" << ref.pool.stores << " on "
+                << ref.threads << " threads\n";
+    }
+    pool_deterministic = pool_deterministic && same;
+  }
+  std::cout << "\nDeterminism: per-session results and pool traffic are "
+               "bit-identical across thread counts (pool "
+            << (pool_deterministic ? "hits/misses/stores agree in every "
+                                     "mega size"
+                                   : "traffic DIFFERS — see GATE FAIL above")
+            << ").\n";
 
   std::ofstream json(json_path);
   json << std::setprecision(6) << std::fixed;
@@ -320,8 +350,7 @@ int main(int argc, char** argv) {
          << p.threads << ", \"wall_s\": " << p.wall_s
          << ", \"sessions_per_sec\": " << p.sessions_per_sec
          << ", \"peak_rss_mb\": " << p.peak_rss_mb << ", \"pool_hit_rate\": "
-         << p.pool_hit_rate << ", \"pool_contention_rate\": "
-         << p.pool_contention_rate << "}"
+         << p.pool_hit_rate << "}"
          << (i + 1 < mega.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"peak_rss_mb\": " << peak_rss_mb
@@ -365,14 +394,15 @@ int main(int argc, char** argv) {
   }
 
   // The structural story this bench gates on: parallelism must actually
-  // help, and the policy layer must fit and inject priors into the fleet.
-  // The scaling gate is timing-based, so it only applies to full runs on
-  // multi-core machines — smoke mode on a shared CI runner is too noisy
-  // for a hard wall-clock gate (the policy gate is deterministic and
-  // always applies).
+  // help, the policy layer must fit and inject priors into the fleet, and
+  // the pool's traffic must not depend on the thread count. The scaling
+  // gate is timing-based, so it only applies to full runs on multi-core
+  // machines — smoke mode on a shared CI runner is too noisy for a hard
+  // wall-clock gate (the policy and pool gates are deterministic and
+  // always apply).
   const bool scales = smoke || ThreadPool::hardware_threads() <= 1 ||
                       scaling.back().speedup > 1.2;
   const bool policy_learns =
       pm.policy.priors_fitted > 0 && pm.policy.prior_activations > 0;
-  return (scales && policy_learns && gate_ok) ? 0 : 1;
+  return (scales && policy_learns && pool_deterministic && gate_ok) ? 0 : 1;
 }

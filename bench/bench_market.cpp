@@ -71,7 +71,7 @@ fleet::FleetSpec base_fleet(std::size_t sessions, std::size_t threads) {
 fleet::FleetSpec market_fleet(std::size_t sessions, std::size_t threads) {
   fleet::FleetSpec spec = base_fleet(sessions, threads);
   spec.market.enabled = true;
-  spec.market.epoch_sessions = sessions;
+  spec.epoch_sessions = sessions;
   spec.market.allocator.policy = marketsvc::MarketPolicy::ProportionalFair;
   return spec;
 }

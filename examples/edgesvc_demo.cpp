@@ -85,6 +85,7 @@ int main() {
     spec.duration_s = 30.0;
     spec.base_seed = 2024;
     spec.use_shared_pool = true;
+    spec.epoch_sessions = 2;  // sessions 2-7 can warm start from the pool
     spec.session.hbo.n_initial = 3;
     spec.session.hbo.n_iterations = 4;
     spec.session.hbo.selection_candidates = 1;

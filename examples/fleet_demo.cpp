@@ -5,8 +5,10 @@
 // This is the Section VI "optimization results should be shared across
 // users" direction in action: the first session to converge in each
 // (device, scenario, environment) bucket pays the full ~20-period Bayesian
-// activation; every later session warm-starts from the pooled solution in
-// a couple of control periods.
+// activation; sessions of later epochs warm-start from the pooled
+// solution in a couple of control periods. The pool is frozen per epoch
+// (four sessions by default), so the run is identical on any thread
+// count.
 //
 // Observability flags:
 //   --trace <file.json>    capture a Chrome/Perfetto trace of the run
@@ -41,15 +43,16 @@
 //   --market [pf|maxmin|price]
 //                          make the edge an actor (hbosim::marketsvc,
 //                          default pf): a cross-tenant JointAllocator
-//                          ticks at every epoch barrier and jointly
-//                          assigns link shares, compute shares, and a
-//                          per-tenant resolution knob under congestion
-//                          budgets. Implies --edge (wifi preset unless
-//                          --edge chose one) and disables the shared
-//                          solution pool (the allocator owns the epoch
-//                          barrier). Prints the market roll-up: admission
-//                          rate, resolution distribution, decided link /
-//                          compute load, and the posted price.
+//                          ticks at every epoch barrier (epochs of eight
+//                          tenants) and jointly assigns link shares,
+//                          compute shares, and a per-tenant resolution
+//                          knob under congestion budgets. Implies --edge
+//                          (wifi preset unless --edge chose one); the
+//                          shared solution pool stays on and freezes at
+//                          the same epoch heads. Prints the market
+//                          roll-up: admission rate, resolution
+//                          distribution, decided link / compute load, and
+//                          the posted price.
 //
 //   --offload              put the edge inside every session's HBO decision
 //                          space (hbosim::offload): sessions search the
@@ -70,13 +73,13 @@
 //                          the worst session is deterministically re-run to
 //                          print its full forensics report. Tracing changes
 //                          no simulated result. Disables the shared solution
-//                          pool: pool warm starts depend on completion order
-//                          (see fleet_simulator.hpp), and the deep-dive
-//                          re-run must reproduce the fleet's trajectory
-//                          bit for bit. For the same reason it cannot
-//                          combine with --policy prior|bandit or --market
-//                          (exit 2): a lone re-run lacks the epoch's
-//                          learned artifacts.
+//                          pool: the deep-dive re-run must reproduce the
+//                          fleet's trajectory bit for bit, and a lone
+//                          re-run lacks the epoch's frozen pool snapshot.
+//                          For the same reason it cannot combine with
+//                          --policy prior|bandit or --market (exit 2): a
+//                          lone re-run lacks the epoch's learned
+//                          artifacts.
 //   --gantt <file.csv>     with --sched: write the re-run worst session's
 //                          per-job Gantt timeline as CSV.
 //
@@ -95,6 +98,7 @@
 //                          The per-session table is skipped (nothing is
 //                          retained to print).
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <iomanip>
@@ -213,6 +217,9 @@ int main(int argc, char** argv) {
   spec.duration_s = 40.0;
   spec.base_seed = 2024;
   spec.use_shared_pool = true;
+  // Epochs of four: sessions 4-23 warm start from what earlier epochs
+  // published.
+  spec.epoch_sessions = 4;
   // Shorten activations so the demo runs in seconds.
   spec.session.hbo.n_initial = 3;
   spec.session.hbo.n_iterations = 4;
@@ -224,18 +231,16 @@ int main(int argc, char** argv) {
     spec.market.enabled = true;
     spec.market.allocator.policy =
         marketsvc::market_policy_from_name(market_policy);
-    // Eight tenants contend per allocation round; the allocator owns the
-    // epoch barrier, so the shared pool (whose warm starts depend on
-    // session completion order) stays off.
-    spec.market.epoch_sessions = 8;
-    spec.use_shared_pool = false;
+    // Eight tenants contend per allocation round; the pool freezes at the
+    // same epoch heads.
+    spec.epoch_sessions = 8;
   }
   if (policy_mode != "off") {
     spec.policy.mode = policy_mode == "prior" ? fleet::PolicyMode::Prior
                                               : fleet::PolicyMode::Bandit;
     // Four epochs of six: epoch 0 is the cold control group, epochs 1-3
     // read artifacts trained on progressively more traffic.
-    spec.policy.epoch_sessions = 6;
+    spec.epoch_sessions = 6;
     // Isolate the policy layer's contribution: no raw-solution sharing.
     spec.use_shared_pool = false;
   }
@@ -244,10 +249,14 @@ int main(int argc, char** argv) {
     if (spec.sessions > 96) {
       // Mega profile: a 10^5-session fleet at the demo's default per-
       // session cost would run for hours; shorten the simulated horizon
-      // and truncate activations so each session costs a few ms.
+      // and truncate activations so each session costs a few ms, and
+      // widen the epochs so their barriers do not idle the workers (as
+      // bench_fleet's mega rows do).
       spec.duration_s = 12.0;
       spec.session.hbo.n_initial = 2;
       spec.session.hbo.n_iterations = 3;
+      spec.epoch_sessions =
+          std::clamp<std::size_t>(spec.sessions / 64, 64, 256);
     }
   }
   if (stream) {
@@ -269,8 +278,8 @@ int main(int argc, char** argv) {
   }
   if (use_sched) {
     spec.sched.enabled = true;
-    // Pool warm starts depend on worker completion order, which would
-    // make the worst-session re-run below diverge from the fleet run.
+    // A pooled session read its epoch's frozen pool snapshot, which the
+    // worst-session re-run below would not have.
     spec.use_shared_pool = false;
   }
   if (use_offload) {
@@ -428,7 +437,7 @@ int main(int argc, char** argv) {
 
   if (m.policy.enabled) {
     std::cout << "  policy (" << m.policy.mode << "): " << m.policy.epochs
-              << " epochs of " << spec.policy.epoch_sessions << " sessions";
+              << " epochs of " << spec.epoch_sessions << " sessions";
     if (spec.policy.mode == fleet::PolicyMode::Prior) {
       std::cout << ", " << m.policy.priors_fitted << " priors fitted over "
                 << m.policy.store_keys << " env keys, injection rate "
@@ -454,7 +463,7 @@ int main(int argc, char** argv) {
         std::size_t count = 0, learned = 0;
         double reward = 0.0;
         for (const fleet::SessionResult& s : result.sessions) {
-          if (s.session_id / spec.policy.epoch_sessions != e) continue;
+          if (s.session_id / spec.epoch_sessions != e) continue;
           ++count;
           learned += spec.policy.mode == fleet::PolicyMode::Prior
                          ? s.prior_activations

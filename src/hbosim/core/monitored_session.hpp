@@ -56,9 +56,10 @@ struct SessionActivation {
 /// Hooks into an external (e.g. fleet-wide) solution store. `fetch` is
 /// consulted when the session's own lookup table misses; `publish` is
 /// called after every full activation with the solution that was stored
-/// locally. Either hook may be empty. The hooks are invoked on whatever
-/// thread runs the session, so a shared store behind them must be
-/// thread-safe (see fleet::SharedSolutionPool).
+/// locally. Either hook may be empty. The hooks run on the thread that
+/// runs the session and need no locking of their own: the fleet's hooks
+/// read an immutable epoch snapshot and log into the session's own
+/// output (see fleet::pool_hooks).
 struct SolutionStoreHooks {
   std::function<std::optional<StoredSolution>(const EnvironmentKey&)> fetch;
   std::function<void(const EnvironmentKey&, const StoredSolution&)> publish;

@@ -7,8 +7,8 @@
 namespace hbosim::des {
 
 namespace {
-/// RFC-4180-style quoting: series names and marker labels are free-form,
-/// so any field containing a comma, quote, or newline is emitted quoted
+/// RFC-4180-style quoting: series names are free-form, so any field
+/// containing a comma, quote, or newline is emitted quoted
 /// with inner quotes doubled.
 void put_csv_field(std::ostream& os, const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) {
@@ -85,42 +85,6 @@ void TraceRecorder::dump_series_csv(const std::string& name,
   put_csv_field(os, name);
   os << '\n';
   for (const auto& p : series(name)) os << p.time << ',' << p.value << '\n';
-}
-
-void TraceRecorder::dump_all_csv(std::ostream& os) const {
-  struct Row {
-    SimTime time;
-    const std::string* series;
-    const TracePoint* point;   // null for marker rows
-    const std::string* label;  // null for sample rows
-  };
-  static const std::string kMarkerSeries = "marker";
-
-  std::vector<Row> rows;
-  std::size_t total = markers_.size();
-  for (const Series& s : series_) total += s.points.size();
-  rows.reserve(total);
-  for (const Series& s : series_)
-    for (const TracePoint& p : s.points)
-      rows.push_back(Row{p.time, &s.name, &p, nullptr});
-  for (const auto& [t, label] : markers_)
-    rows.push_back(Row{t, &kMarkerSeries, nullptr, &label});
-
-  // Stable: equal-time rows keep series-registration order, markers last.
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const Row& a, const Row& b) { return a.time < b.time; });
-
-  os << "time,series,value\n";
-  for (const Row& r : rows) {
-    os << r.time << ',';
-    put_csv_field(os, *r.series);
-    os << ',';
-    if (r.point != nullptr)
-      os << r.point->value;
-    else
-      put_csv_field(os, *r.label);
-    os << '\n';
-  }
 }
 
 void TraceRecorder::clear() {

@@ -30,8 +30,7 @@ class TraceRecorder {
   /// Append a sample to the named series (hashes the name every call).
   void record(const std::string& series, SimTime t, double value);
 
-  /// Append a point-event marker (e.g., "allocation change C5"); markers
-  /// render as annotation rows in dumps.
+  /// Append a point-event marker (e.g., "allocation change C5").
   void mark(SimTime t, const std::string& label);
 
   bool has_series(const std::string& series) const;
@@ -47,12 +46,6 @@ class TraceRecorder {
 
   /// Emit `time,value` CSV for one series.
   void dump_series_csv(const std::string& series, std::ostream& os) const;
-
-  /// Emit every series and marker as one long-format `time,series,value`
-  /// table, rows in time order (ties keep series-registration order, with
-  /// markers last). Markers dump as series "marker" with the label in the
-  /// value column.
-  void dump_all_csv(std::ostream& os) const;
 
   void clear();
 

@@ -62,6 +62,7 @@ std::string SessionSpec::scenario_name() const {
 void FleetSpec::validate() const {
   HB_REQUIRE(sessions >= 1, "fleet needs at least one session");
   HB_REQUIRE(duration_s > 0.0, "fleet session duration must be positive");
+  HB_REQUIRE(epoch_sessions >= 1, "fleet epochs need at least one session");
   auto check_weights = [](const auto& mix, const char* what) {
     double total = 0.0;
     for (const auto& e : mix) {
@@ -96,18 +97,6 @@ void FleetSpec::validate() const {
                "JointAllocator allocates the shared edge box, so there is "
                "nothing to allocate without one (set use_edge_service and "
                "FleetSpec::edge, or disable FleetSpec::market)");
-    HB_REQUIRE(!use_shared_pool,
-               "FleetSpec::market cannot run with use_shared_pool — pool "
-               "warm starts depend on session completion order, which "
-               "would break the market epoch's bit-identical 1-vs-N-thread "
-               "guarantee (disable one of the two)");
-    HB_REQUIRE(policy.mode == PolicyMode::Off,
-               "FleetSpec::market and FleetSpec::policy both own the "
-               "epoch barrier — run the market and the learned policy "
-               "layer in separate fleets");
-    HB_REQUIRE(market.epoch_sessions >= 1,
-               "FleetSpec::market.epoch_sessions needs at least one "
-               "session per broker tick");
     market.allocator.validate();
   }
   if (offload.enabled) {
@@ -139,8 +128,6 @@ void FleetSpec::validate() const {
                "or Prior with offload)");
   }
   if (policy.mode != PolicyMode::Off) {
-    HB_REQUIRE(policy.epoch_sessions >= 1,
-               "policy epochs need at least one session");
     if (policy.mode == PolicyMode::Prior) policy.prior.validate();
     if (policy.mode == PolicyMode::Bandit) {
       policy.bandit.validate();
@@ -200,11 +187,13 @@ SessionSpec FleetSimulator::session_spec(std::size_t id) const {
 
 SessionResult FleetSimulator::run_session_traced(
     const SessionSpec& spec, des::SchedTrace& trace) const {
-  HB_REQUIRE(spec_.policy.mode == PolicyMode::Off && !spec_.market.enabled,
+  HB_REQUIRE(!spec_.use_shared_pool &&
+                 spec_.policy.mode == PolicyMode::Off && !spec_.market.enabled,
              "run_session_traced cannot reproduce a session of a fleet with "
-             "a learner (policy mode prior/bandit or the market): the "
-             "session ran against its epoch's frozen priors, bandit model "
-             "or market allocation, which a lone re-run does not have");
+             "a learner (the shared pool, policy mode prior/bandit or the "
+             "market): the session ran against its epoch's frozen pool "
+             "snapshot, priors, bandit model or market allocation, which a "
+             "lone re-run does not have");
   // No arena wrapper: this is a one-off diagnostic re-run, and the
   // caller's trace must not depend on any worker-arena lifetime.
   return run_session(spec, EpochArtifacts{}, &trace).result;
@@ -331,28 +320,16 @@ FleetSimulator::SessionOutput FleetSimulator::run_session(
     // budget at the posted price, so expensive epochs steer the optimizer
     // toward leaner configurations (0 under PF/MaxMin — no cost change).
     if (market != nullptr) cfg.hbo.market_price = market->price;
-    if (pool_) cfg.use_lookup_table = true;
+    if (frozen.pool) cfg.use_lookup_table = true;
     core::MonitoredSession session(*app, cfg);
     if (edge_client) session.set_edge(edge_client.get());
 
-    if (pool_) {
-      // Bind this session's pool coordinates once; the environment part of
-      // the key varies per activation.
+    if (frozen.pool) {
+      // Fetches read the frozen epoch snapshot; every fetch and publish
+      // travels back in the output for the main thread's pool replay.
       const PoolKey base{spec.device, spec.scenario_name(), {}};
-      SharedSolutionPool* pool = pool_.get();
-      core::SolutionStoreHooks hooks;
-      hooks.fetch = [pool, base](const core::EnvironmentKey& env) {
-        PoolKey key = base;
-        key.env = env;
-        return pool->fetch(key);
-      };
-      hooks.publish = [pool, base](const core::EnvironmentKey& env,
-                                   const core::StoredSolution& solution) {
-        PoolKey key = base;
-        key.env = env;
-        pool->publish(key, solution);
-      };
-      session.set_solution_store(std::move(hooks));
+      session.set_solution_store(
+          pool_hooks(frozen.pool, base, &output.pool_traffic));
     }
 
     if (frozen.priors) {
@@ -469,9 +446,8 @@ FleetSimulator::SessionOutput FleetSimulator::run_session(
 
 FleetResult FleetSimulator::run() {
   HB_TRACE_SCOPE("fleet", "fleet.run");
-  pool_.reset();
-  if (spec_.use_shared_pool)
-    pool_ = std::make_unique<SharedSolutionPool>(spec_.pool);
+  std::optional<SharedSolutionPool> pool;
+  if (spec_.use_shared_pool) pool.emplace(spec_.pool);
   broker_.reset();
   if (spec_.use_edge_service) {
     broker_ =
@@ -514,11 +490,9 @@ FleetResult FleetSimulator::run() {
 
   // One epoch pipeline (see fleet_simulator.hpp). Without a learner the
   // whole fleet is one epoch and the window slides with no barrier.
-  const bool learner =
-      spec_.market.enabled || spec_.policy.mode != PolicyMode::Off;
-  const std::size_t epoch = spec_.market.enabled ? spec_.market.epoch_sessions
-                            : learner ? spec_.policy.epoch_sessions
-                                      : spec_.sessions;
+  const bool learner = pool.has_value() || spec_.market.enabled ||
+                       spec_.policy.mode != PolicyMode::Off;
+  const std::size_t epoch = learner ? spec_.epoch_sessions : spec_.sessions;
   const char* epoch_span =
       spec_.market.enabled ? "fleet.market_epoch" : "fleet.policy_epoch";
 
@@ -532,9 +506,10 @@ FleetResult FleetSimulator::run() {
   std::deque<std::future<SessionOutput>> inflight;
   // Window head, main thread, session-id order: feed every learner that
   // is on from the session's traffic, then roll the result up.
-  auto collect = [this, &inflight, &consume] {
+  auto collect = [this, &inflight, &consume, &pool] {
     SessionOutput o = inflight.front().get();
     inflight.pop_front();
+    if (pool) pool->replay(o.pool_traffic);
     for (const PriorObservation& obs : o.observations) {
       prior_store_->record(
           policy::PriorKey{o.result.device, o.result.scenario, obs.env},
@@ -563,6 +538,7 @@ FleetResult FleetSimulator::run() {
     // Freeze the epoch's artifacts: every session of the epoch reads the
     // same immutable state, whatever the learners absorb meanwhile.
     EpochArtifacts artifacts;
+    if (pool) artifacts.pool = pool->snapshot();
     if (prior_store_) artifacts.priors = prior_store_->snapshot();
     if (bandit_)
       artifacts.bandit = std::make_shared<const policy::LinUcbBandit>(*bandit_);
@@ -604,7 +580,7 @@ FleetResult FleetSimulator::run() {
   while (!inflight.empty()) collect();
 
   const SharedSolutionPoolStats pool_stats =
-      pool_ ? pool_->stats() : SharedSolutionPoolStats{};
+      pool ? pool->stats() : SharedSolutionPoolStats{};
   const edgesvc::EdgeFleetStats edge_stats =
       broker_ ? broker_->stats() : edgesvc::EdgeFleetStats{};
   out.metrics = acc.finalize(seconds_since(t0), pool_stats,

@@ -22,26 +22,25 @@
 /// out from a device mix × scenario mix — concurrently on a worker pool,
 /// and rolls their results up into FleetMetrics.
 ///
-/// One pipeline runs every fleet. run() walks the sessions in epochs; at
-/// the start of each epoch the main thread freezes the learners' state
-/// into read-only artifacts — a PriorSnapshot (policy mode Prior), a copy
-/// of the LinUCB model (mode Bandit), the JointAllocator's tick decisions
+/// One pipeline runs every fleet. run() walks the sessions in epochs of
+/// FleetSpec::epoch_sessions; at the start of each epoch the main thread
+/// freezes the learners' state into read-only artifacts — a snapshot of
+/// the SharedSolutionPool, a PriorSnapshot (policy mode Prior), a copy of
+/// the LinUCB model (mode Bandit), the JointAllocator's tick decisions
 /// (market) — and submits the epoch's sessions through one bounded
 /// in-flight window. Results are collected at the window head in
-/// session-id order: the main thread feeds each learner from the session,
-/// then rolls the result up. With a learner on, the window drains at the
-/// end of every epoch (the barrier); with none, the whole fleet is one
-/// epoch and the window slides without a barrier.
+/// session-id order: the main thread feeds each learner from the session
+/// (the pool replays its fetches and publishes), then rolls the result
+/// up. With a learner on, the window drains at the end of every epoch
+/// (the barrier); with none, the whole fleet is one epoch and the window
+/// slides without a barrier.
 ///
 /// Determinism: session i's device, scenario, seed, and entire simulated
 /// trajectory are pure functions of (spec, base_seed, i) and of the
 /// frozen artifacts of its epoch. Epoch membership, artifact content, and
-/// feed order are in turn pure functions of the spec, so a pool-disabled
-/// fleet — learners on or off — produces bit-identical per-session results
-/// on 1 thread and on N threads. With the SharedSolutionPool enabled,
-/// *which* sessions warm start depends on completion order and is
-/// therefore scheduling-dependent; each warm-started trajectory is still
-/// fully deterministic given the solution it received.
+/// feed order are in turn pure functions of the spec, so every fleet —
+/// pool, learners and market on or off — produces bit-identical
+/// per-session results and pool stats on 1 thread and on N threads.
 
 namespace hbosim::fleet {
 
@@ -75,10 +74,6 @@ struct FleetProgress {
 
 struct FleetPolicyConfig {
   PolicyMode mode = PolicyMode::Off;
-  /// Sessions per learning epoch: every epoch reads one frozen artifact,
-  /// and the learner has absorbed the epoch's traffic before the next one
-  /// freezes. Smaller epochs learn faster but serialize more.
-  std::size_t epoch_sessions = 32;
   policy::PriorStoreConfig prior;  ///< Mode Prior knobs.
   policy::BanditConfig bandit;     ///< Mode Bandit knobs.
 };
@@ -87,14 +82,13 @@ struct FleetPolicyConfig {
 /// cross-tenant JointAllocator decide each tenant's link share, compute
 /// share, resolution knob, and (Pricing policy) admission + price signal.
 /// Same determinism recipe as the policy layer: sessions of an epoch run
-/// against one frozen decision vector, ticked at the epoch's start, and
-/// the allocator is fed on the main thread in session-id order — so a
-/// market fleet is bit-identical on 1 and N threads. Disabled, the fleet
-/// reproduces the mirror-based path bit for bit.
+/// against one frozen decision vector, ticked at the epoch's start (one
+/// allocation round over the epoch's tenants), and the allocator is fed
+/// on the main thread in session-id order — so a market fleet is
+/// bit-identical on 1 and N threads. Disabled, the fleet reproduces the
+/// mirror-based path bit for bit.
 struct FleetMarketConfig {
   bool enabled = false;
-  /// Tenants per broker tick (one allocation round per epoch).
-  std::size_t epoch_sessions = 32;
   /// Policy, budgets, pricing knobs (see marketsvc::MarketConfig).
   marketsvc::MarketConfig allocator;
 };
@@ -108,6 +102,12 @@ struct FleetSpec {
   /// Per-session seeds are base_seed + session_id, so any fleet slice can
   /// be reproduced in isolation.
   std::uint64_t base_seed = 0x5EEDu;
+  /// Sessions per epoch, shared by every learner (the pool, policy mode
+  /// Prior/Bandit, the market): an epoch's sessions all read the artifacts
+  /// frozen at its start, and the learners have absorbed the whole epoch
+  /// before the next one freezes. Smaller epochs learn faster but
+  /// serialize more. Ignored when no learner is on.
+  std::size_t epoch_sessions = 32;
 
   /// Template for every session's loop configuration. The per-session BO
   /// seed is overridden with the session seed; use_lookup_table is forced
@@ -119,6 +119,9 @@ struct FleetSpec {
   /// Defaults to SC1/SC2 × CF1/CF2, equally weighted.
   std::vector<ScenarioMixEntry> scenarios;
 
+  /// Warm-start sessions from each other's converged solutions through
+  /// the epoch-frozen SharedSolutionPool: a session sees what every
+  /// earlier epoch published, never its own epoch's.
   bool use_shared_pool = false;
   SharedSolutionPoolConfig pool;
 
@@ -233,9 +236,9 @@ class FleetSimulator {
   /// the worst session to print its full forensics report. Tracing never
   /// feeds back, so this reproduces the fleet run's trajectory exactly,
   /// and the re-run leaves the fleet's edge-broker stats untouched.
-  /// Throws when the fleet has a learner (policy mode Prior/Bandit or the
-  /// market): a session there ran against its epoch's frozen artifacts,
-  /// which a lone re-run cannot rebuild.
+  /// Throws when the fleet has a learner (the shared pool, policy mode
+  /// Prior/Bandit or the market): a session there ran against its epoch's
+  /// frozen artifacts, which a lone re-run cannot rebuild.
   SessionResult run_session_traced(const SessionSpec& spec,
                                    des::SchedTrace& trace) const;
 
@@ -244,8 +247,6 @@ class FleetSimulator {
   FleetResult run();
 
   const FleetSpec& spec() const { return spec_; }
-  /// Null unless use_shared_pool; reset at the start of every run().
-  const SharedSolutionPool* pool() const { return pool_.get(); }
   /// Null unless use_edge_service; reset at the start of every run().
   const edgesvc::EdgeBroker* edge_broker() const { return broker_.get(); }
   /// Null unless policy mode Bandit; reset at the start of every run().
@@ -256,6 +257,7 @@ class FleetSimulator {
   /// thread at the epoch's start. Members of layers that are off stay
   /// null/empty.
   struct EpochArtifacts {
+    std::shared_ptr<const PoolSnapshot> pool;             ///< Shared pool.
     std::shared_ptr<const policy::PriorSnapshot> priors;  ///< Mode Prior.
     std::shared_ptr<const policy::LinUcbBandit> bandit;   ///< Mode Bandit.
     /// Market tick decisions, indexed by session id minus `first`.
@@ -275,6 +277,7 @@ class FleetSimulator {
   /// learners with, in session-id order, at the window head.
   struct SessionOutput {
     SessionResult result;
+    std::vector<PoolOp> pool_traffic;             ///< Shared pool.
     std::vector<PriorObservation> observations;   ///< Mode Prior.
     std::vector<policy::Experience> experiences;  ///< Mode Bandit.
   };
@@ -289,7 +292,6 @@ class FleetSimulator {
                             des::SchedTrace* deep_dive = nullptr) const;
 
   FleetSpec spec_;
-  std::unique_ptr<SharedSolutionPool> pool_;
   std::unique_ptr<edgesvc::EdgeBroker> broker_;
   std::unique_ptr<policy::PriorStore> prior_store_;
   std::unique_ptr<policy::LinUcbBandit> bandit_;

@@ -1,14 +1,13 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "hbosim/core/lookup_table.hpp"
+#include "hbosim/core/monitored_session.hpp"
 #include "hbosim/edge/cache.hpp"
 
 /// \file shared_pool.hpp
@@ -18,15 +17,14 @@
 /// conditions — the paper's "optimization results should be shared across
 /// users" direction, made concrete.
 ///
-/// The pool is N-way sharded: each shard is an independently mutex-guarded
-/// LRU (reusing the edge cache mechanics and key scheme), selected by
-/// hashing the flattened key. At fleet scale (10^5+ sessions on many
-/// workers) a single pool mutex serializes every warm-start fetch and
-/// publish; striping the locks cuts the collision probability by the
-/// shard count while keeping each shard's semantics exactly those of the
-/// original single-lock pool — lower-cost-wins on key collision, LRU
-/// eviction within the shard. Traffic counters are per-shard atomics, so
-/// stats() aggregates without stopping the world.
+/// The pool is epoch-frozen, like the policy layer's priors. At each
+/// epoch head the fleet's main thread freezes the pool into an immutable
+/// PoolSnapshot; the epoch's sessions fetch from that snapshot on any
+/// worker without a lock and log every fetch and publish as PoolOps. The
+/// window head replays each session's log, in session-id order, into the
+/// one live LRU: lower-cost-wins on key collision, fetch hits refresh
+/// recency, eviction at capacity. Everything the pool holds or counts is
+/// therefore a pure function of the fleet spec, whatever the thread count.
 
 namespace hbosim::fleet {
 
@@ -44,14 +42,9 @@ struct PoolKey {
 };
 
 struct SharedSolutionPoolConfig {
-  /// Max remembered (device, scenario, environment) entries across all
-  /// shards; the least recently touched entry *within a shard* is evicted
-  /// beyond the shard's share. Rounded up to a multiple of `shards`.
+  /// Max remembered (device, scenario, environment) entries; the least
+  /// recently touched entry is evicted beyond it.
   std::size_t capacity = 4096;
-  /// Independently locked stripes. 1 reproduces the original single-lock
-  /// pool (one global LRU order); more shards trade global LRU precision
-  /// for an N-fold cut in lock collisions.
-  std::size_t shards = 8;
 };
 
 struct SharedSolutionPoolStats {
@@ -61,73 +54,60 @@ struct SharedSolutionPoolStats {
   std::uint64_t stores = 0;
   std::uint64_t evictions = 0;
 
-  std::size_t shards = 0;  ///< Stripe count (0 in a zeroed stats value).
-  /// Lock-contention telemetry: every fetch/publish/stats acquisition is
-  /// counted, and acquisitions that found the shard lock already held
-  /// (try_lock failed, had to block) are counted separately — the
-  /// scaling bench's direct measure of pool serialization.
-  std::uint64_t lock_acquisitions = 0;
-  std::uint64_t lock_contentions = 0;
-
   /// Fraction of fetches served, in [0, 1]; 0 when nothing was fetched.
   double hit_rate() const {
     const std::uint64_t total = hits + misses;
     return total ? static_cast<double>(hits) / static_cast<double>(total) : 0.0;
   }
-
-  /// Fraction of lock acquisitions that had to block, in [0, 1].
-  double contention_rate() const {
-    return lock_acquisitions ? static_cast<double>(lock_contentions) /
-                                   static_cast<double>(lock_acquisitions)
-                             : 0.0;
-  }
 };
 
+/// The pool as one epoch's sessions see it, keyed by PoolKey::str().
+using PoolSnapshot = std::unordered_map<std::string, core::StoredSolution>;
+
+/// One pool operation a session made, logged in the order it made them.
+struct PoolOp {
+  enum class Kind : std::uint8_t { Hit, Miss, Publish };
+  Kind kind = Kind::Miss;
+  std::string key;                ///< PoolKey::str().
+  core::StoredSolution solution;  ///< The published solution (Publish only).
+};
+
+/// One session's solution-store hooks: `fetch` reads `snapshot`, and every
+/// fetch and publish is appended to `*traffic` for the main thread to
+/// replay. `base` fixes the device and scenario; the hooks fill in the
+/// environment of each call. Safe on any thread as long as `*traffic` is
+/// the session's own.
+core::SolutionStoreHooks pool_hooks(
+    std::shared_ptr<const PoolSnapshot> snapshot, const PoolKey& base,
+    std::vector<PoolOp>* traffic);
+
+/// The live pool. Main-thread only: nothing here is synchronized.
 class SharedSolutionPool {
  public:
   explicit SharedSolutionPool(SharedSolutionPoolConfig cfg = {});
 
-  /// Thread-safe lookup; refreshes the entry's recency on a hit.
-  std::optional<core::StoredSolution> fetch(const PoolKey& key);
+  /// Freeze the current entries for the next epoch. Returns the previous
+  /// snapshot again when no replayed publish has changed an entry since.
+  std::shared_ptr<const PoolSnapshot> snapshot();
 
-  /// Thread-safe insert. On collision the lower-cost solution wins (same
-  /// policy as the per-session table); insertion beyond the shard's
-  /// capacity evicts the shard's least recently used entry.
-  void publish(const PoolKey& key, const core::StoredSolution& solution);
+  /// Apply one session's traffic, in order. Hits and misses count as the
+  /// session saw them in its snapshot; a hit refreshes the entry's
+  /// recency if the entry is still live. A publish counts as a store and
+  /// is kept only if the key is new or the solution costs less than the
+  /// entry's; a new key beyond capacity evicts the least recently used
+  /// entry.
+  void replay(const std::vector<PoolOp>& traffic);
 
-  /// Aggregated across shards. Counters are exact (atomic sums); `size`
-  /// and `evictions` are read under each shard's lock in turn, so the
-  /// total is a consistent per-shard snapshot (sufficient for roll-ups —
-  /// the pool is quiescent when fleet metrics are taken).
   SharedSolutionPoolStats stats() const;
 
-  std::size_t shard_count() const { return shards_.size(); }
-  /// One shard's traffic; stats() equals the field-wise sum over shards
-  /// (pinned by the fleet test suite under TSan).
-  SharedSolutionPoolStats shard_stats(std::size_t shard) const;
-
  private:
-  struct Shard {
-    explicit Shard(std::size_t capacity) : cache(capacity) {}
-    mutable std::mutex mu;
-    edge::BasicLruCache<core::StoredSolution> cache;
-    // fetch()/publish() traffic counted here, not via the LRU's counters:
-    // publish() probes the cache too, which would skew a fetch hit rate.
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> stores{0};
-    std::atomic<std::uint64_t> lock_acquisitions{0};
-    std::atomic<std::uint64_t> lock_contentions{0};
-  };
-
-  Shard& shard_for(const std::string& flat_key) const;
-  /// Lock a shard, counting the acquisition and whether it had to block.
-  static std::unique_lock<std::mutex> lock_shard(Shard& shard);
-
-  SharedSolutionPoolConfig cfg_;
-  // unique_ptr: Shard is immovable (mutex + atomics) but the stripe count
-  // is a runtime config value.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  edge::BasicLruCache<core::StoredSolution> cache_;
+  // Counted here, not via the LRU's counters: replay probes the cache on
+  // publishes too, which would skew a fetch hit rate.
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t stores_ = 0;
+  std::shared_ptr<const PoolSnapshot> snapshot_;  ///< Null once stale.
 };
 
 }  // namespace hbosim::fleet

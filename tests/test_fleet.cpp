@@ -6,7 +6,7 @@
 
 #include <cmath>
 #include <map>
-#include <thread>
+#include <optional>
 
 #include "hbosim/common/error.hpp"
 #include "hbosim/edgesvc/broker.hpp"
@@ -110,22 +110,41 @@ TEST(FleetSimulator, ZeroWeightEntriesAreNeverPicked) {
     EXPECT_EQ(fleet.session_spec(i).device, "Pixel 7");
 }
 
+/// Drive the pool one operation at a time: each call is a one-operation
+/// session against a fresh snapshot, replayed at once — the live-pool
+/// semantics a fleet with one-session epochs runs under.
+std::optional<core::StoredSolution> fetch(fleet::SharedSolutionPool& pool,
+                                          const fleet::PoolKey& key) {
+  std::vector<fleet::PoolOp> traffic;
+  const auto hit =
+      fleet::pool_hooks(pool.snapshot(), key, &traffic).fetch(key.env);
+  pool.replay(traffic);
+  return hit;
+}
+
+void publish(fleet::SharedSolutionPool& pool, const fleet::PoolKey& key,
+             const core::StoredSolution& solution) {
+  std::vector<fleet::PoolOp> traffic;
+  fleet::pool_hooks(pool.snapshot(), key, &traffic).publish(key.env, solution);
+  pool.replay(traffic);
+}
+
 TEST(SharedSolutionPool, FetchPublishCountersAndCollisionPolicy) {
   fleet::SharedSolutionPool pool;
   fleet::PoolKey key{"Pixel 7", "SC2/CF2", {12, 4, 99}};
 
-  EXPECT_FALSE(pool.fetch(key).has_value());
-  pool.publish(key, {{0.5, 0.5, 0.0, 0.8}, -1.0});
-  const auto hit = pool.fetch(key);
+  EXPECT_FALSE(fetch(pool, key).has_value());
+  publish(pool, key, {{0.5, 0.5, 0.0, 0.8}, -1.0});
+  const auto hit = fetch(pool, key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(hit->cost, -1.0);
 
   // Collision: the worse (higher-cost) solution is ignored, the better
   // one replaces.
-  pool.publish(key, {{1.0, 0.0, 0.0, 1.0}, -0.5});
-  EXPECT_DOUBLE_EQ(pool.fetch(key)->cost, -1.0);
-  pool.publish(key, {{1.0, 0.0, 0.0, 1.0}, -2.0});
-  EXPECT_DOUBLE_EQ(pool.fetch(key)->cost, -2.0);
+  publish(pool, key, {{1.0, 0.0, 0.0, 1.0}, -0.5});
+  EXPECT_DOUBLE_EQ(fetch(pool, key)->cost, -1.0);
+  publish(pool, key, {{1.0, 0.0, 0.0, 1.0}, -2.0});
+  EXPECT_DOUBLE_EQ(fetch(pool, key)->cost, -2.0);
 
   const fleet::SharedSolutionPoolStats stats = pool.stats();
   EXPECT_EQ(stats.size, 1u);
@@ -135,60 +154,57 @@ TEST(SharedSolutionPool, FetchPublishCountersAndCollisionPolicy) {
   EXPECT_NEAR(stats.hit_rate(), 0.75, 1e-12);
 
   // Distinct devices / scenarios / environments do not alias.
-  EXPECT_FALSE(pool.fetch({"Galaxy S22", "SC2/CF2", {12, 4, 99}}).has_value());
-  EXPECT_FALSE(pool.fetch({"Pixel 7", "SC1/CF2", {12, 4, 99}}).has_value());
-  EXPECT_FALSE(pool.fetch({"Pixel 7", "SC2/CF2", {13, 4, 99}}).has_value());
+  EXPECT_FALSE(fetch(pool, {"Galaxy S22", "SC2/CF2", {12, 4, 99}}).has_value());
+  EXPECT_FALSE(fetch(pool, {"Pixel 7", "SC1/CF2", {12, 4, 99}}).has_value());
+  EXPECT_FALSE(fetch(pool, {"Pixel 7", "SC2/CF2", {13, 4, 99}}).has_value());
 }
 
 TEST(SharedSolutionPool, EvictsLeastRecentlyUsedAtCapacity) {
   fleet::SharedSolutionPoolConfig cfg;
   cfg.capacity = 2;
-  cfg.shards = 1;  // one stripe -> one global LRU order to script against
   fleet::SharedSolutionPool pool(cfg);
   fleet::PoolKey a{"d", "s", {1, 0, 0}};
   fleet::PoolKey b{"d", "s", {2, 0, 0}};
   fleet::PoolKey c{"d", "s", {3, 0, 0}};
-  pool.publish(a, {{}, -1.0});
-  pool.publish(b, {{}, -1.0});
-  EXPECT_TRUE(pool.fetch(a).has_value());  // refresh a; b is now LRU
-  pool.publish(c, {{}, -1.0});             // evicts b
+  publish(pool, a, {{}, -1.0});
+  publish(pool, b, {{}, -1.0});
+  EXPECT_TRUE(fetch(pool, a).has_value());  // refresh a; b is now LRU
+  publish(pool, c, {{}, -1.0});             // evicts b
   EXPECT_EQ(pool.stats().evictions, 1u);
-  EXPECT_TRUE(pool.fetch(a).has_value());
-  EXPECT_FALSE(pool.fetch(b).has_value());
-  EXPECT_TRUE(pool.fetch(c).has_value());
+  EXPECT_TRUE(fetch(pool, a).has_value());
+  EXPECT_FALSE(fetch(pool, b).has_value());
+  EXPECT_TRUE(fetch(pool, c).has_value());
 }
 
 // A scripted interleaving of publishes and fetches across more keys than
 // the pool holds: fetch-refreshes must steer eviction order exactly, and
-// the lower-cost-wins collision policy must hold mid-stream. Pins the
-// single-threaded semantics the concurrent smoke below relies on.
+// the lower-cost-wins collision policy must hold mid-stream.
 TEST(SharedSolutionPool, InterleavedFetchPublishEvictionOrderIsDeterministic) {
   fleet::SharedSolutionPoolConfig cfg;
   cfg.capacity = 3;
-  cfg.shards = 1;  // one stripe -> one global LRU order to script against
   fleet::SharedSolutionPool pool(cfg);
   auto key = [](std::uint64_t i) {
     return fleet::PoolKey{"d", "s", {i, 0, 0}};
   };
 
-  pool.publish(key(1), {{}, -1.0});
-  pool.publish(key(2), {{}, -1.0});
-  pool.publish(key(3), {{}, -1.0});
+  publish(pool, key(1), {{}, -1.0});
+  publish(pool, key(2), {{}, -1.0});
+  publish(pool, key(3), {{}, -1.0});
   // Touch 1 and 2; 3 becomes LRU despite being the newest insert.
-  EXPECT_TRUE(pool.fetch(key(1)).has_value());
-  EXPECT_TRUE(pool.fetch(key(2)).has_value());
-  pool.publish(key(4), {{}, -1.0});  // evicts 3
-  EXPECT_FALSE(pool.fetch(key(3)).has_value());
+  EXPECT_TRUE(fetch(pool, key(1)).has_value());
+  EXPECT_TRUE(fetch(pool, key(2)).has_value());
+  publish(pool, key(4), {{}, -1.0});  // evicts 3
+  EXPECT_FALSE(fetch(pool, key(3)).has_value());
 
   // A losing collision (higher cost) keeps the better entry but touches
   // the key's recency (the collision probe); re-touch 2 and 4 so 1 is
   // back at LRU before the next insert.
-  pool.publish(key(1), {{}, -0.1});
-  EXPECT_DOUBLE_EQ(pool.fetch(key(2))->cost, -1.0);  // refresh 2
-  EXPECT_TRUE(pool.fetch(key(4)).has_value());       // refresh 4
-  pool.publish(key(5), {{}, -1.0});                  // evicts 1
-  EXPECT_FALSE(pool.fetch(key(1)).has_value());
-  EXPECT_DOUBLE_EQ(pool.fetch(key(2))->cost, -1.0);
+  publish(pool, key(1), {{}, -0.1});
+  EXPECT_DOUBLE_EQ(fetch(pool, key(2))->cost, -1.0);  // refresh 2
+  EXPECT_TRUE(fetch(pool, key(4)).has_value());       // refresh 4
+  publish(pool, key(5), {{}, -1.0});                  // evicts 1
+  EXPECT_FALSE(fetch(pool, key(1)).has_value());
+  EXPECT_DOUBLE_EQ(fetch(pool, key(2))->cost, -1.0);
 
   const fleet::SharedSolutionPoolStats stats = pool.stats();
   EXPECT_EQ(stats.size, 3u);
@@ -197,101 +213,42 @@ TEST(SharedSolutionPool, InterleavedFetchPublishEvictionOrderIsDeterministic) {
   EXPECT_EQ(stats.misses, 2u);
 }
 
-// Multi-thread smoke for the pool's locking, exercised under TSan by the
-// CI sanitizer job: writers publish improving solutions while readers
-// fetch; afterwards every surviving entry holds the best cost published
-// for its key and the counters balance.
-TEST(SharedSolutionPool, ConcurrentFetchPublishSmoke) {
+// Within an epoch the snapshot is frozen: a session never sees a publish
+// made after the freeze, its own included. The replay counts what the
+// session saw, and a snapshot is re-frozen only after an entry changed.
+TEST(SharedSolutionPool, SnapshotIsFrozenUntilReplayChangesAnEntry) {
   fleet::SharedSolutionPoolConfig cfg;
-  cfg.capacity = 16;  // smaller than the key range -> eviction under load
+  cfg.capacity = 1;
   fleet::SharedSolutionPool pool(cfg);
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 500;
-  constexpr std::uint64_t kKeys = 24;
+  const fleet::PoolKey a{"d", "s", {1, 0, 0}};
+  const fleet::PoolKey b{"d", "s", {2, 0, 0}};
+  publish(pool, a, {{0.5}, -1.0});
 
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&pool, t] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const fleet::PoolKey key{
-            "d", "s", {static_cast<std::uint64_t>((t * 7 + i) % kKeys), 0, 0}};
-        if (i % 3 == 0) {
-          pool.publish(key, {{0.5, 0.5, 0.0, 0.8}, -1.0 - 0.001 * i});
-        } else {
-          const auto hit = pool.fetch(key);
-          if (hit) EXPECT_LE(hit->cost, -1.0);
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
+  const auto frozen = pool.snapshot();
+  EXPECT_EQ(pool.snapshot(), frozen);  // nothing changed: same snapshot
+  std::vector<fleet::PoolOp> traffic;
+  const core::SolutionStoreHooks hooks = fleet::pool_hooks(frozen, a, &traffic);
+  hooks.publish(b.env, {{0.7}, -3.0});
+  EXPECT_FALSE(hooks.fetch(b.env).has_value());  // own publish: not visible
+  EXPECT_TRUE(hooks.fetch(a.env).has_value());
+  ASSERT_EQ(traffic.size(), 3u);
+  EXPECT_EQ(traffic[0].kind, fleet::PoolOp::Kind::Publish);
+  EXPECT_EQ(traffic[1].kind, fleet::PoolOp::Kind::Miss);
+  EXPECT_EQ(traffic[2].kind, fleet::PoolOp::Kind::Hit);
 
+  // Replayed in order: b's publish evicts a before a's hit is replayed;
+  // the hit still counts, as the session was served.
+  pool.replay(traffic);
   const fleet::SharedSolutionPoolStats stats = pool.stats();
-  EXPECT_LE(stats.size, 16u);
-  EXPECT_EQ(stats.stores,
-            static_cast<std::uint64_t>(kThreads) * ((kOpsPerThread + 2) / 3));
-  EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<std::uint64_t>(kThreads) * kOpsPerThread -
-                stats.stores);
-}
-
-// The sharded-stats contract, exercised under TSan by the CI sanitizer
-// job: after concurrent traffic, the aggregated stats() equal the
-// field-wise sum of every shard's own counters, and the lock telemetry
-// accounts for exactly one acquisition per fetch/publish.
-TEST(SharedSolutionPool, ShardedStatsMatchShardTraffic) {
-  fleet::SharedSolutionPoolConfig cfg;
-  cfg.capacity = 32;
-  cfg.shards = 4;
-  fleet::SharedSolutionPool pool(cfg);
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 400;
-  constexpr std::uint64_t kKeys = 48;
-
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&pool, t] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const fleet::PoolKey key{
-            "d", "s", {static_cast<std::uint64_t>((t * 5 + i) % kKeys), 0, 0}};
-        if (i % 4 == 0) {
-          pool.publish(key, {{0.5, 0.5, 0.0, 0.8}, -1.0 - 0.001 * i});
-        } else {
-          pool.fetch(key);
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-
-  ASSERT_EQ(pool.shard_count(), 4u);
-  fleet::SharedSolutionPoolStats summed;
-  for (std::size_t s = 0; s < pool.shard_count(); ++s) {
-    const fleet::SharedSolutionPoolStats shard = pool.shard_stats(s);
-    summed.size += shard.size;
-    summed.hits += shard.hits;
-    summed.misses += shard.misses;
-    summed.stores += shard.stores;
-    summed.evictions += shard.evictions;
-    summed.lock_acquisitions += shard.lock_acquisitions;
-    summed.lock_contentions += shard.lock_contentions;
-  }
-  const fleet::SharedSolutionPoolStats total = pool.stats();
-  EXPECT_EQ(total.shards, 4u);
-  EXPECT_EQ(total.size, summed.size);
-  EXPECT_EQ(total.hits, summed.hits);
-  EXPECT_EQ(total.misses, summed.misses);
-  EXPECT_EQ(total.stores, summed.stores);
-  EXPECT_EQ(total.evictions, summed.evictions);
-  EXPECT_EQ(total.lock_acquisitions, summed.lock_acquisitions);
-  EXPECT_EQ(total.lock_contentions, summed.lock_contentions);
-  // One lock acquisition per operation, no more, no fewer (stats reads
-  // must not perturb the telemetry they report).
-  constexpr std::uint64_t kOps =
-      static_cast<std::uint64_t>(kThreads) * kOpsPerThread;
-  EXPECT_EQ(total.lock_acquisitions, kOps);
-  EXPECT_LE(total.lock_contentions, total.lock_acquisitions);
-  EXPECT_EQ(total.hits + total.misses + total.stores, kOps);
+  EXPECT_EQ(stats.stores, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_NE(pool.snapshot(), frozen);
+  EXPECT_EQ(pool.snapshot()->count(b.str()), 1u);
+  EXPECT_EQ(pool.snapshot()->count(a.str()), 0u);
+  // The old snapshot is immutable: its holders still see a.
+  EXPECT_EQ(frozen->count(a.str()), 1u);
 }
 
 // SolutionLookupTable::replace under an interleaved fetch/store sequence:
@@ -409,6 +366,7 @@ TEST(FleetSimulator, SharedPoolProducesCrossSessionWarmStarts) {
   fleet::FleetSpec spec = fast_fleet(12, 2);
   spec.devices = {{"Pixel 7", 1.0}};  // one key -> guaranteed sharing
   spec.use_shared_pool = true;
+  spec.epoch_sessions = 2;  // later epochs see earlier epochs' publishes
   spec.session.warm_start_tolerance = 10.0;  // accept pooled configs
   fleet::FleetSimulator fleet(spec);
   const fleet::FleetResult result = fleet.run();
@@ -419,10 +377,115 @@ TEST(FleetSimulator, SharedPoolProducesCrossSessionWarmStarts) {
   EXPECT_GT(pool.hit_rate(), 0.0);
   EXPECT_GT(result.metrics.total_shared_warm_starts, 0u);
   EXPECT_GT(result.metrics.warm_start_rate, 0.0);
-  // Only sessions after the first publisher can share; the first full
-  // activation is always a miss.
+  // Only sessions after the first epoch can share; the first epoch reads
+  // an empty snapshot.
+  EXPECT_EQ(result.sessions[0].shared_warm_starts, 0u);
+  EXPECT_EQ(result.sessions[1].shared_warm_starts, 0u);
   EXPECT_LT(result.metrics.total_shared_warm_starts,
             result.metrics.total_activations);
+}
+
+/// Every simulated SessionResult field of two runs agrees bit for bit
+/// (wall_seconds, host time, excepted).
+void expect_same_sessions(const fleet::FleetResult& a,
+                          const fleet::FleetResult& b) {
+  ASSERT_EQ(a.sessions.size(), b.sessions.size());
+  for (std::size_t i = 0; i < a.sessions.size(); ++i) {
+    const fleet::SessionResult& x = a.sessions[i];
+    const fleet::SessionResult& y = b.sessions[i];
+#define HB_SAME(field) EXPECT_EQ(x.field, y.field) << #field << ", session " << i
+    HB_SAME(session_id); HB_SAME(device); HB_SAME(scenario); HB_SAME(seed);
+    HB_SAME(sim_seconds); HB_SAME(periods); HB_SAME(mean_quality);
+    HB_SAME(mean_latency_ratio); HB_SAME(mean_reward); HB_SAME(activations);
+    HB_SAME(warm_starts); HB_SAME(shared_warm_starts);
+    HB_SAME(prior_activations); HB_SAME(bandit_pulls);
+    HB_SAME(edge_requests); HB_SAME(edge_retries);
+    HB_SAME(edge_rejected_attempts); HB_SAME(edge_timeout_attempts);
+    HB_SAME(edge_fallbacks); HB_SAME(edge_decim_fallbacks);
+    HB_SAME(edge_bo_fallbacks); HB_SAME(edge_payload_bytes);
+    HB_SAME(edge_units); HB_SAME(edge_service_s); HB_SAME(edge_elapsed_s);
+    HB_SAME(market_session); HB_SAME(market_denied);
+    HB_SAME(market_resolution); HB_SAME(market_bandwidth_frac);
+    HB_SAME(market_price); HB_SAME(offload_session);
+    HB_SAME(offload_completed); HB_SAME(offload_remote);
+    HB_SAME(offload_fallbacks); HB_SAME(offload_rate);
+    HB_SAME(mean_edge_share); HB_SAME(radio_energy_j);
+    HB_SAME(offload_elapsed_s); HB_SAME(energy_j); HB_SAME(mean_power_w);
+    HB_SAME(max_die_temp_c); HB_SAME(throttle_events);
+    HB_SAME(time_throttled_s); HB_SAME(min_freq_scale); HB_SAME(battery_soc);
+    HB_SAME(battery_drain_pct_per_hour); HB_SAME(sched_traced);
+    HB_SAME(sched_jobs); HB_SAME(sched_worst_p99_slowdown);
+    HB_SAME(sched_fairness_floor); HB_SAME(sched_starved_jobs);
+    HB_SAME(sched_events); HB_SAME(sched_dropped_events);
+#undef HB_SAME
+  }
+  const fleet::SharedSolutionPoolStats& p = a.metrics.pool;
+  const fleet::SharedSolutionPoolStats& q = b.metrics.pool;
+  EXPECT_EQ(p.size, q.size);
+  EXPECT_EQ(p.hits, q.hits);
+  EXPECT_EQ(p.misses, q.misses);
+  EXPECT_EQ(p.stores, q.stores);
+  EXPECT_EQ(p.evictions, q.evictions);
+}
+
+/// Run `spec` on 1 and on 4 threads and require identical fleets.
+fleet::FleetResult expect_thread_count_invariant(fleet::FleetSpec spec) {
+  spec.threads = 1;
+  const fleet::FleetResult serial = fleet::FleetSimulator(spec).run();
+  spec.threads = 4;
+  const fleet::FleetResult threaded = fleet::FleetSimulator(spec).run();
+  expect_same_sessions(serial, threaded);
+  return serial;
+}
+
+/// A pool fleet concentrated on one device, accepting pooled configs.
+fleet::FleetSpec pool_fleet(std::size_t sessions) {
+  fleet::FleetSpec spec = fast_fleet(sessions, 1);
+  spec.devices = {{"Pixel 7", 1.0}};
+  spec.use_shared_pool = true;
+  spec.session.warm_start_tolerance = 10.0;
+  return spec;
+}
+
+/// Add a proportional-fair market on the wifi edge.
+fleet::FleetSpec with_market(fleet::FleetSpec spec) {
+  spec.use_edge_service = true;
+  spec.edge = edgesvc::edge_service_preset("wifi");
+  spec.market.enabled = true;
+  return spec;
+}
+
+// The epoch-frozen pool at its default epoch size: every session of an
+// epoch reads one snapshot, and the replay runs in session-id order, so
+// which sessions warm start no longer depends on the thread count.
+TEST(FleetSimulator, PoolFleetIsThreadCountInvariant) {
+  const fleet::FleetResult r = expect_thread_count_invariant(pool_fleet(80));
+  EXPECT_GT(r.metrics.pool.hits, 0u);
+  EXPECT_GT(r.metrics.total_shared_warm_starts, 0u);
+}
+
+// Market + pool: the allocator ticks and the pool freezes at the same
+// epoch heads, and both are fed at the window head.
+TEST(FleetSimulator, MarketPoolFleetIsThreadCountInvariant) {
+  fleet::FleetSpec spec = with_market(pool_fleet(24));
+  spec.epoch_sessions = 6;
+  const fleet::FleetResult r = expect_thread_count_invariant(spec);
+  EXPECT_EQ(r.metrics.market.ticks, 4u);
+  EXPECT_GT(r.metrics.pool.hits, 0u);
+  EXPECT_GT(r.metrics.total_shared_warm_starts, 0u);
+}
+
+// Market + learned priors share one epoch size.
+TEST(FleetSimulator, MarketPriorFleetIsThreadCountInvariant) {
+  fleet::FleetSpec spec = with_market(fast_fleet(16, 1));
+  spec.devices = {{"Pixel 7", 1.0}};
+  spec.policy.mode = fleet::PolicyMode::Prior;
+  spec.policy.prior.min_observations = 4;
+  spec.epoch_sessions = 4;
+  const fleet::FleetResult r = expect_thread_count_invariant(spec);
+  EXPECT_EQ(r.metrics.market.ticks, 4u);
+  EXPECT_EQ(r.metrics.policy.epochs, 4u);
+  EXPECT_GT(r.metrics.policy.prior_activations, 0u);
 }
 
 TEST(FleetMetrics, AggregateComputesPercentilesAndThroughput) {

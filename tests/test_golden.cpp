@@ -120,8 +120,8 @@ void digest_summary(Digest& d, const fleet::MetricSummary& m) {
 
 /// FNV-1a over every simulated FleetMetrics field: everything but the
 /// host-time figures (wall_seconds, sessions_per_sec) and the pool stats
-/// (their lock counters measure host contention; the one pooled fleet
-/// below pins what the pool did through its sessions' warm starts).
+/// (the one pooled fleet below pins what the pool did through its
+/// sessions' warm starts).
 void digest_metrics(Digest& d, const fleet::FleetMetrics& m) {
   d.add(std::uint64_t{m.sessions});
   d.add(m.streamed);
@@ -219,7 +219,7 @@ TEST(GoldenDigest, PriorFleet) {
   spec.duration_s = 20.0;
   spec.use_shared_pool = false;
   spec.policy.mode = fleet::PolicyMode::Prior;
-  spec.policy.epoch_sessions = 4;
+  spec.epoch_sessions = 4;
 
   const fleet::FleetResult res = fleet::FleetSimulator(spec).run();
   ASSERT_EQ(res.sessions.size(), spec.sessions);
@@ -332,7 +332,7 @@ TEST(GoldenDigest, MarketFleet) {
   spec.edge = edgesvc::edge_service_preset("wifi");
   spec.market.enabled = true;
   spec.market.allocator.policy = marketsvc::MarketPolicy::ProportionalFair;
-  spec.market.epoch_sessions = 4;
+  spec.epoch_sessions = 4;
   const FleetDigests got = digest_fleet(spec);
   EXPECT_EQ(got.metrics.market.ticks, 4u);
   got.expect("0xe56b8839e6bdcb81", "0xc93bf3c5d1de61cf",
@@ -356,7 +356,7 @@ TEST(GoldenDigest, StaticTrimFleet) {
 TEST(GoldenDigest, BanditFleet) {
   fleet::FleetSpec spec = golden_fleet();
   spec.policy.mode = fleet::PolicyMode::Bandit;
-  spec.policy.epoch_sessions = 4;
+  spec.epoch_sessions = 4;
   const FleetDigests got = digest_fleet(spec);
   EXPECT_EQ(got.metrics.policy.epochs, 4u);
   EXPECT_GT(got.metrics.policy.bandit_updates, 0u);
@@ -365,13 +365,16 @@ TEST(GoldenDigest, BanditFleet) {
 }
 
 // Shared solution pool behind the wifi edge, one device so every session
-// keys the same environments. Single-threaded: with the pool on, which
-// sessions warm start depends on completion order. Every local lookup
-// miss reaches the pool through a RemoteBo exchange on the session's
-// edge mirror, so this pins that exchange's timing and accounting.
+// keys the same environments. One-session epochs on one thread: every
+// session sees all earlier sessions' publishes, as the pool did before
+// it was frozen per epoch, so these digests predate the epoch pool. Every
+// local lookup miss reaches the pool through a RemoteBo exchange on the
+// session's edge mirror, so this pins that exchange's timing and
+// accounting.
 TEST(GoldenDigest, SharedPoolEdgeFleet) {
   fleet::FleetSpec spec = golden_fleet();
   spec.threads = 1;
+  spec.epoch_sessions = 1;
   spec.devices = {{"Pixel 7", 1.0}};
   spec.use_shared_pool = true;
   spec.session.warm_start_tolerance = 10.0;  // accept pooled configs

@@ -360,7 +360,7 @@ fleet::FleetSpec market_fleet(std::size_t sessions, std::size_t threads,
   spec.use_edge_service = true;
   spec.edge = edgesvc::edge_service_preset("wifi");
   spec.market.enabled = true;
-  spec.market.epoch_sessions = 4;
+  spec.epoch_sessions = 4;
   spec.market.allocator.policy = policy;
   return spec;
 }
@@ -371,19 +371,8 @@ TEST(FleetMarket, ValidationRejectsNonsenseCombinations) {
   spec.use_edge_service = false;
   EXPECT_THROW(spec.validate(), Error);
 
-  // Pool warm starts depend on session completion order, which would
-  // break the market epoch's 1-vs-N-thread bitwise guarantee.
   spec = market_fleet(8, 1, MarketPolicy::ProportionalFair);
-  spec.use_shared_pool = true;
-  EXPECT_THROW(spec.validate(), Error);
-
-  // The market and the learned policy layer both own the epoch barrier.
-  spec = market_fleet(8, 1, MarketPolicy::ProportionalFair);
-  spec.policy.mode = fleet::PolicyMode::Prior;
-  EXPECT_THROW(spec.validate(), Error);
-
-  spec = market_fleet(8, 1, MarketPolicy::ProportionalFair);
-  spec.market.epoch_sessions = 0;
+  spec.epoch_sessions = 0;
   EXPECT_THROW(spec.validate(), Error);
 
   // Allocator knobs are validated through the fleet spec too.
@@ -471,7 +460,7 @@ TEST(FleetMarket, PricingOverloadDeniesIntoBestEffort) {
   // scavenger class, survives on on-device fallbacks, and the roll-up
   // says so.
   fleet::FleetSpec spec = market_fleet(6, 2, MarketPolicy::Pricing);
-  spec.market.epoch_sessions = 3;
+  spec.epoch_sessions = 3;
   spec.market.allocator.initial_price = 1e6;
   fleet::FleetResult result = fleet::FleetSimulator(spec).run();
   const fleet::FleetMetrics::MarketHealth& mh = result.metrics.market;

@@ -154,7 +154,9 @@ TEST(Matrix, ConservativeResizePreservesBlockAndZeroFills) {
   EXPECT_DOUBLE_EQ(m(1, 1), 4.0);
   for (std::size_t r = 0; r < 3; ++r)
     for (std::size_t c = 0; c < 4; ++c)
-      if (r >= 2 || c >= 2) EXPECT_DOUBLE_EQ(m(r, c), 0.0);
+      if (r >= 2 || c >= 2) {
+        EXPECT_DOUBLE_EQ(m(r, c), 0.0);
+      }
 
   // Shrink then regrow: the regrown region must be zeroed, not stale.
   m(2, 3) = 9.0;

@@ -517,7 +517,7 @@ fleet::FleetSpec prior_fleet(std::size_t sessions, std::size_t threads) {
   fleet::FleetSpec spec = fast_fleet(sessions, threads);
   spec.devices = {{"Pixel 7", 1.0}};  // concentrate traffic on few keys
   spec.policy.mode = fleet::PolicyMode::Prior;
-  spec.policy.epoch_sessions = 4;
+  spec.epoch_sessions = 4;
   spec.policy.prior.min_observations = 4;
   return spec;
 }
@@ -525,7 +525,7 @@ fleet::FleetSpec prior_fleet(std::size_t sessions, std::size_t threads) {
 TEST(FleetPolicy, ValidateRejectsNonsense) {
   fleet::FleetSpec spec = fast_fleet(4, 1);
   spec.policy.mode = fleet::PolicyMode::Prior;
-  spec.policy.epoch_sessions = 0;
+  spec.epoch_sessions = 0;
   EXPECT_THROW(fleet::FleetSimulator{spec}, Error);
 
   spec = fast_fleet(4, 1);
@@ -542,7 +542,7 @@ TEST(FleetPolicy, NullPriorsLeaveResultsBitwiseIdenticalToPolicyOff) {
   fleet::FleetSpec off = fast_fleet(12, 2);
   fleet::FleetSpec inert = fast_fleet(12, 2);
   inert.policy.mode = fleet::PolicyMode::Prior;
-  inert.policy.epoch_sessions = 4;
+  inert.epoch_sessions = 4;
   inert.policy.prior.min_observations = 1u << 20;
 
   fleet::FleetResult a = fleet::FleetSimulator(off).run();
@@ -606,7 +606,7 @@ TEST(FleetPolicy, PriorModeIsThreadCountInvariantAndInjectsPriors) {
 TEST(FleetPolicy, EpochLargerThanWindowMatchesFullBarrier) {
   auto big_epoch_fleet = [](std::size_t threads) {
     fleet::FleetSpec spec = prior_fleet(160, threads);
-    spec.policy.epoch_sessions = 80;
+    spec.epoch_sessions = 80;
     return spec;
   };
   fleet::FleetResult fed_mid_epoch =
@@ -638,7 +638,7 @@ TEST(FleetPolicy, BanditModeIsThreadCountInvariantAndLearns) {
     fleet::FleetSpec spec = fast_fleet(16, threads);
     spec.devices = {{"Pixel 7", 1.0}};
     spec.policy.mode = fleet::PolicyMode::Bandit;
-    spec.policy.epoch_sessions = 4;
+    spec.epoch_sessions = 4;
     return spec;
   };
   fleet::FleetResult serial = fleet::FleetSimulator(bandit_fleet(1)).run();

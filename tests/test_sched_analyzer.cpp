@@ -468,6 +468,19 @@ TEST(FleetSched, RunSessionTracedRejectsFleetsWithALearner) {
   }
 }
 
+// A pooled session fetched from its epoch's frozen pool snapshot, which a
+// lone re-run does not have (and must not publish into): the deep-dive
+// refuses pool fleets too, before and after a run.
+TEST(FleetSched, RunSessionTracedRejectsPoolFleets) {
+  fleet::FleetSpec spec = fast_fleet(4, 1);
+  spec.use_shared_pool = true;
+  fleet::FleetSimulator sim(spec);
+  des::SchedTrace trace(spec.sched);
+  EXPECT_THROW(sim.run_session_traced(sim.session_spec(0), trace), Error);
+  sim.run();
+  EXPECT_THROW(sim.run_session_traced(sim.session_spec(0), trace), Error);
+}
+
 // The deep-dive re-run is diagnostic only: it must not count its edge
 // traffic into the broker a second time.
 TEST(FleetSched, RunSessionTracedLeavesBrokerStatsUntouched) {

@@ -86,34 +86,15 @@ TEST(TraceRecorder, WindowMeanEdgeCases) {
   EXPECT_THROW(trace.window_mean("nope", 0.0, 1.0), hbosim::Error);
 }
 
-TEST(TraceRecorder, DumpAllCsvLongFormat) {
-  TraceRecorder trace;
-  trace.record("a", 1.0, 10.0);
-  trace.record("b", 1.0, 5.0);
-  trace.record("a", 3.0, 30.0);
-  trace.mark(1.0, "N1");
-  trace.mark(2.0, "C5");
-  std::ostringstream os;
-  trace.dump_all_csv(os);
-  EXPECT_EQ(os.str(),
-            "time,series,value\n"
-            "1,a,10\n"
-            "1,b,5\n"
-            "1,marker,N1\n"
-            "2,marker,C5\n"
-            "3,a,30\n");
-}
-
-TEST(TraceRecorder, DumpAllCsvEscapesFreeFormFields) {
+TEST(TraceRecorder, DumpSeriesCsvEscapesFreeFormNames) {
   TraceRecorder trace;
   trace.record("a,b", 1.0, 10.0);
-  trace.mark(2.0, "change \"C5\", N2");
-  std::ostringstream os;
-  trace.dump_all_csv(os);
-  EXPECT_EQ(os.str(),
-            "time,series,value\n"
-            "1,\"a,b\",10\n"
-            "2,marker,\"change \"\"C5\"\", N2\"\n");
+  trace.record("say \"hi\"", 2.0, 20.0);
+  std::ostringstream comma, quotes;
+  trace.dump_series_csv("a,b", comma);
+  trace.dump_series_csv("say \"hi\"", quotes);
+  EXPECT_EQ(comma.str(), "time,\"a,b\"\n1,10\n");
+  EXPECT_EQ(quotes.str(), "time,\"say \"\"hi\"\"\"\n2,20\n");
 }
 
 TEST(TraceRecorder, MarkersAccumulate) {
