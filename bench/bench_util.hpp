@@ -1,15 +1,18 @@
 #pragma once
 
+#include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
-/// Shared command line and pretty-printing for the reproduction harnesses.
-/// Each bench prints the paper artefact it regenerates, the measured
-/// series/rows, and a PAPER vs MEASURED recap so EXPERIMENTS.md can be
-/// cross-checked directly against bench output.
+/// Shared command line, pretty-printing and JSON host stamp of the benches.
 
 namespace benchutil {
 
@@ -59,6 +62,40 @@ inline Args parse_args(const Cli& cli, int argc, char** argv) {
     }
   }
   return args;
+}
+
+/// Concatenates `parts` by appending. (`"literal" + std::string` trips a
+/// GCC 12 -Wrestrict false positive in Release builds.)
+inline std::string cat(std::initializer_list<std::string_view> parts) {
+  std::string out;
+  for (std::string_view part : parts) out.append(part);
+  return out;
+}
+
+/// Host and build stamp, as one JSON object: hardware threads, CPU model,
+/// compiler, build type and `git describe` of the working directory.
+inline std::string stamp_json() {
+  std::string cpu = "unknown", git;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);)
+    if (line.rfind("model name", 0) == 0 && line.find(": ") != line.npos) {
+      cpu = line.substr(line.find(": ") + 2);
+      break;
+    }
+  const std::unique_ptr<FILE, int (*)(FILE*)> pipe(
+      popen("git describe --always --dirty 2>/dev/null", "r"), pclose);
+  for (int c; pipe && (c = std::fgetc(pipe.get())) != EOF;)
+    if (std::isgraph(c)) git += static_cast<char>(c);
+  // Quotes and backslashes are dropped, so every value is a plain string.
+  const auto field = [](const char* key, std::string value) {
+    std::erase_if(value, [](char c) { return c == '"' || c == '\\'; });
+    return cat({", \"", key, "\": \"", value, "\""});
+  };
+  return cat({"{\"nproc\": ",
+              std::to_string(std::thread::hardware_concurrency()),
+              field("cpu", cpu), field("compiler", HBOSIM_BENCH_COMPILER),
+              field("build_type", HBOSIM_BENCH_BUILD_TYPE),
+              field("git_describe", git.empty() ? "unknown" : git), "}"});
 }
 
 inline void banner(const std::string& artefact, const std::string& what) {
